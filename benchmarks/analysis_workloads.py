@@ -275,11 +275,14 @@ def _case_fused_verdicts_identical(case: str) -> bool:
     if index.sessions() != sessions:
         return False
     kmeans_seed = 20_250_808
+    volume = VolumeDetector()
     object_fused = FusionDetector().fuse([
-        VolumeDetector().judge_all(sessions),
+        [volume.judge(session) for session in sessions],
         ClusteringDetector(
             np.random.default_rng(kmeans_seed)
-        ).judge_all(sessions),
+        ).judge_matrix(
+            [s.session_id for s in sessions], feature_matrix(sessions)
+        ),
     ])
     columnar_fused = FusionDetector().fuse([
         VolumeDetector().judge_index(index),

@@ -15,8 +15,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ...ml.standardize import Standardiser
-from ...web.logs import Session
-from .features import feature_matrix
 from .verdict import Verdict
 
 
@@ -27,7 +25,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainingReport:
-    """Convergence summary returned by :meth:`LogisticSessionClassifier.fit`."""
+    """Convergence summary returned by
+    :meth:`LogisticSessionClassifier.fit_matrix`."""
 
     iterations: int
     final_loss: float
@@ -73,24 +72,10 @@ class LogisticSessionClassifier:
         assert self._standardiser is not None
         return self._standardiser.transform(matrix)
 
-    def fit(
-        self, sessions: Sequence[Session], labels: Sequence[bool]
-    ) -> TrainingReport:
-        """Train on labelled sessions (True = bot)."""
-        if len(sessions) != len(labels):
-            raise ValueError(
-                f"{len(sessions)} sessions but {len(labels)} labels"
-            )
-        return self.fit_matrix(feature_matrix(list(sessions)), labels)
-
     def fit_matrix(
         self, matrix: np.ndarray, labels: Sequence[bool]
     ) -> TrainingReport:
-        """Train on a prebuilt feature matrix (True = bot).
-
-        Training is bit-identical to :meth:`fit` on the sessions the
-        matrix was extracted from.
-        """
+        """Train on a feature matrix, one row per session (True = bot)."""
         if matrix.shape[0] != len(labels):
             raise ValueError(
                 f"{matrix.shape[0]} feature rows but {len(labels)} labels"
@@ -150,14 +135,10 @@ class LogisticSessionClassifier:
         assert self._weights is not None
         return _sigmoid(x @ self._weights + self._bias)
 
-    def predict_proba(self, sessions: Sequence[Session]) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("classifier is not fitted")
-        return self.predict_proba_matrix(feature_matrix(list(sessions)))
-
-    def _verdicts(
-        self, session_ids: Sequence[str], probabilities: np.ndarray
+    def judge_matrix(
+        self, session_ids: Sequence[str], matrix: np.ndarray
     ) -> List[Verdict]:
+        """Judge every row of a feature matrix."""
         return [
             Verdict(
                 subject_id=session_id,
@@ -166,19 +147,12 @@ class LogisticSessionClassifier:
                 is_bot=bool(probability >= self.threshold),
                 reasons=("model-probability",),
             )
-            for session_id, probability in zip(session_ids, probabilities)
+            for session_id, probability in zip(
+                session_ids, self.predict_proba_matrix(matrix)
+            )
         ]
 
-    def judge_all(self, sessions: Sequence[Session]) -> List[Verdict]:
-        return self._verdicts(
-            [session.session_id for session in sessions],
-            self.predict_proba(sessions),
-        )
-
     def judge_index(self, index) -> List[Verdict]:
-        """Judge a :class:`~repro.core.detection.session_index.
-        SessionIndex` — same verdicts as :meth:`judge_all` on the
-        corresponding sessions, no per-session feature extraction."""
-        return self._verdicts(
-            index.session_ids, self.predict_proba_matrix(index.matrix)
-        )
+        """Judge every session of a :class:`~repro.core.detection.
+        session_index.SessionIndex`."""
+        return self.judge_matrix(index.session_ids, index.matrix)

@@ -15,8 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ...ml.standardize import Standardiser
-from ...web.logs import Session
-from .features import FEATURE_NAMES, feature_matrix
+from .features import FEATURE_NAMES
 from .verdict import Verdict
 
 
@@ -108,17 +107,9 @@ class ClusteringDetector:
         self.config = config
         self._rng = rng
 
-    def judge_all(self, sessions: Sequence[Session]) -> List[Verdict]:
-        sessions = list(sessions)
-        return self.judge_matrix(
-            [session.session_id for session in sessions],
-            feature_matrix(sessions),
-        )
-
     def judge_index(self, index) -> List[Verdict]:
-        """Judge a :class:`~repro.core.detection.session_index.
-        SessionIndex` — verdict- and RNG-stream-identical to
-        :meth:`judge_all` on the corresponding sessions."""
+        """Judge every session of a :class:`~repro.core.detection.
+        session_index.SessionIndex`."""
         return self.judge_matrix(index.session_ids, index.matrix)
 
     def judge_matrix(

@@ -37,7 +37,8 @@ class FingerprintWeights:
 class FingerprintDetector:
     """Scores individual fingerprints on artifacts + inconsistencies.
 
-    Subjects are fingerprint ids.
+    Subjects are fingerprint ids, except for :meth:`judge_index`, which
+    maps the verdicts onto session ids.
     """
 
     name = "fingerprint-rules"
@@ -67,6 +68,36 @@ class FingerprintDetector:
         self, fingerprints: Iterable[Fingerprint]
     ) -> List[Verdict]:
         return [self.judge(fingerprint) for fingerprint in fingerprints]
+
+    def judge_index(
+        self, index, fingerprints_seen: Dict[str, Fingerprint]
+    ) -> List[Verdict]:
+        """Session-level verdicts for a :class:`~repro.core.detection.
+        session_index.SessionIndex`: each session inherits its
+        fingerprint's rule verdict (unseen fingerprints are clean)."""
+        # Fingerprints repeat across sessions; judge each digest once.
+        judged: Dict[str, bool] = {}
+        verdicts = []
+        for session_id, fingerprint_id in zip(
+            index.session_ids, index.fingerprints
+        ):
+            is_bot = judged.get(fingerprint_id)
+            if is_bot is None:
+                fingerprint = fingerprints_seen.get(fingerprint_id)
+                is_bot = (
+                    fingerprint is not None
+                    and self.judge(fingerprint).is_bot
+                )
+                judged[fingerprint_id] = is_bot
+            verdicts.append(
+                Verdict(
+                    subject_id=session_id,
+                    detector=self.name,
+                    score=1.0 if is_bot else 0.0,
+                    is_bot=is_bot,
+                )
+            )
+        return verdicts
 
     def flagged_ids(
         self, fingerprints_seen: Dict[str, Fingerprint]

@@ -16,11 +16,16 @@ materialising a ``LogEntry`` or ``Session``,
 * the per-endpoint count table and the token/gap sequence encoding
   the :mod:`repro.ml` arm trains on.
 
-Everything is **bit-identical** to the object path, which is what lets
-the threshold/logistic/kmeans detectors and the ML dataset builder
-switch over without moving a single verdict.  The one numerical
-subtlety: every float segment reduction uses ``np.bincount``, whose
-weight accumulation is sequential in array order — the same
+This index is the only batch path into session detection: every
+session family (volume, k-means, logistic, learned, fingerprint rules)
+has exactly one batch entry point, ``judge_index(index)``, and the
+streaming families one streaming entry point, ``judge(session)``.
+:func:`~repro.web.logs.sessionize` and
+:func:`~repro.core.detection.features.feature_matrix` stay as the
+executable spec: everything here is **bit-identical** to them, which
+the equivalence suites pin.  The one numerical subtlety: every float
+segment reduction uses ``np.bincount``, whose weight accumulation is
+sequential in array order — the same
 left-to-right order ``sum()`` uses in
 :func:`~repro.core.detection.features.extract_features` —
 where ``np.add.reduceat``/``np.sum`` would introduce pairwise-
@@ -80,9 +85,10 @@ LEGIT_CLASS = "legit"
 class SessionIndex:
     """Sessionized columnar view of one :class:`~repro.web.logs.WebLog`.
 
-    Built once per analysis pass (:meth:`from_log`); detectors consume
-    ``session_ids`` + ``matrix`` directly, the ML arm adds
-    :meth:`sequences`, and anything that still needs ``Session``
+    Built once per analysis pass (:meth:`from_log`) and handed to every
+    family's ``judge_index``: the matrix families read ``session_ids``
+    + ``matrix``, the ML arm adds :meth:`sequences`, fingerprint rules
+    read ``fingerprints``, and anything that still needs ``Session``
     objects calls :meth:`sessions` (identical to ``sessionize(log)``).
     """
 
@@ -400,8 +406,8 @@ class SessionIndex:
         """``Session`` objects equal to ``sessionize(log, idle_gap)``.
 
         Only for consumers that genuinely need per-entry objects
-        (fingerprint rules, the graph builder); the matrix consumers
-        never pay this cost.
+        (evaluation, the graph builder, navigation analysis); the
+        ``judge_index`` families never pay this cost.
         """
         log = self._log
         rows = self.entry_rows

@@ -45,51 +45,21 @@ class VolumeDetector:
         self.thresholds = thresholds
 
     def judge(self, session: Session) -> Verdict:
-        features = extract_features(session)
-        reasons = []
-        if (
-            features.request_count
-            > self.thresholds.max_requests_per_session
-        ):
-            reasons.append("session-request-count")
-        if (
-            features.duration_minutes >= self.thresholds.min_duration_for_rate
-            and features.requests_per_minute
-            > self.thresholds.max_requests_per_minute
-        ):
-            reasons.append("request-rate")
-        # Score: how far past the worst-violated threshold we are.
-        count_ratio = (
-            features.request_count
-            / self.thresholds.max_requests_per_session
-        )
-        rate_ratio = (
-            features.requests_per_minute
-            / self.thresholds.max_requests_per_minute
-            if features.duration_minutes
-            >= self.thresholds.min_duration_for_rate
-            else 0.0
-        )
-        score = min(max(count_ratio, rate_ratio) / 2.0, 1.0)
-        return Verdict(
-            subject_id=session.session_id,
-            detector=self.name,
-            score=score,
-            is_bot=bool(reasons),
-            reasons=tuple(reasons),
-        )
-
-    def judge_all(self, sessions: List[Session]) -> List[Verdict]:
-        return [self.judge(session) for session in sessions]
+        """Judge one session (the streaming path): a one-row
+        :meth:`judge_matrix` call, so the thresholds exist once."""
+        return self.judge_matrix(
+            [session.session_id],
+            extract_features(session).vector()[np.newaxis, :],
+        )[0]
 
     def judge_matrix(
         self, session_ids: Sequence[str], matrix: np.ndarray
     ) -> List[Verdict]:
-        """Vectorized :meth:`judge` over a prebuilt feature matrix.
+        """Judge every row of a prebuilt feature matrix.
 
-        Verdict-identical to judging the corresponding sessions one by
-        one — the thresholds and the score arithmetic see the exact
-        same float64 values the per-session path computes.
+        The one copy of the threshold and score arithmetic; the
+        per-session :meth:`judge` and the batch :meth:`judge_index`
+        both call it.
         """
         counts = matrix[:, FEATURE_NAMES.index("request_count")]
         durations = matrix[:, FEATURE_NAMES.index("duration_minutes")]

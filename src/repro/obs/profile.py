@@ -117,29 +117,25 @@ def instrument_world(
 
 
 def batch_analysis(world, context: RunContext) -> None:
-    """Run the columnar batch-analysis fast path, instrumented.
+    """Run the batch session analysis, instrumented.
 
     Builds the :class:`~repro.core.detection.session_index.
     SessionIndex` (populating the ``detect.features`` timer and the
     ``detect.sessions`` / ``detect.entries`` counters) and judges it
-    with the matrix detector families under ``detect.family.<name>``
-    timers — the per-stage breakdown ``repro profile`` reports next to
-    the sim-kernel and stream tables.
+    with :func:`~repro.scenarios.graph_case.session_arm`, which times
+    each family under ``detect.family.<name>`` — the per-stage
+    breakdown ``repro profile`` reports next to the sim-kernel and
+    stream tables.
     """
     # Imported lazily, like the stream tap: the detector stack is not
     # an :mod:`repro.obs` dependency.
-    from ..core.detection.clustering import ClusteringDetector
     from ..core.detection.session_index import SessionIndex
-    from ..core.detection.volume import VolumeDetector
+    from ..scenarios.graph_case import session_arm
 
     registry = context.registry
-    index = SessionIndex.from_log(world.app.log, obs=registry)
-    with registry.timer("detect.family.volume-threshold").time():
-        VolumeDetector().judge_index(index)
-    with registry.timer("detect.family.kmeans-behaviour").time():
-        ClusteringDetector(
-            world.rngs.numpy_stream("detector.kmeans")
-        ).judge_index(index)
+    session_arm(
+        world, SessionIndex.from_log(world.app.log, obs=registry), registry
+    )
 
 
 def _case_entry(case: str) -> Tuple[type, Callable]:

@@ -290,29 +290,12 @@ def run_detector_comparison(
     score("kmeans", clustering.judge_index(index))
 
     # 4. Fingerprint rules: a session inherits its fingerprint's verdict.
-    fingerprint_detector = FingerprintDetector()
-    fingerprint_verdicts = []
-    judged_fingerprints: Dict[str, bool] = {}
-    for session_id, fingerprint_id in zip(
-        index.session_ids, index.fingerprints
-    ):
-        is_bot = judged_fingerprints.get(fingerprint_id)
-        if is_bot is None:
-            fingerprint = world.app.fingerprints_seen.get(fingerprint_id)
-            is_bot = (
-                fingerprint is not None
-                and fingerprint_detector.judge(fingerprint).is_bot
-            )
-            judged_fingerprints[fingerprint_id] = is_bot
-        fingerprint_verdicts.append(
-            Verdict(
-                subject_id=session_id,
-                detector="fingerprint",
-                score=1.0 if is_bot else 0.0,
-                is_bot=is_bot,
-            )
-        )
-    score("fingerprint", fingerprint_verdicts)
+    score(
+        "fingerprint",
+        FingerprintDetector().judge_index(
+            index, world.app.fingerprints_seen
+        ),
+    )
 
     # 5. The paper-informed pipeline: passenger-detail heuristics plus
     #    booking-reference identity linking.
@@ -355,7 +338,7 @@ def run_detector_comparison(
                 "volume-threshold": 0.9,
                 "logistic-behaviour": 0.6,
                 "kmeans-behaviour": 0.05,
-                "fingerprint": 0.9,
+                "fingerprint-rules": 0.9,
                 "abuse-pipeline": 0.95,
             }
         )

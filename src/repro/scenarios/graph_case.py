@@ -192,42 +192,34 @@ def _run_case(config: GraphCaseConfig) -> Tuple[object, World]:
     return case_config, run_case_c(case_config).world
 
 
-def _fingerprint_session_verdicts(
-    world: World, index: SessionIndex
-) -> List[Verdict]:
-    """Sessions inherit their fingerprint's rule verdict (family 4)."""
-    detector = FingerprintDetector()
-    verdicts = []
-    # Fingerprints repeat across sessions; judge each digest once.
-    judged: Dict[str, bool] = {}
-    for session_id, fingerprint_id in zip(
-        index.session_ids, index.fingerprints
-    ):
-        is_bot = judged.get(fingerprint_id)
-        if is_bot is None:
-            fingerprint = world.app.fingerprints_seen.get(fingerprint_id)
-            is_bot = (
-                fingerprint is not None
-                and detector.judge(fingerprint).is_bot
-            )
-            judged[fingerprint_id] = is_bot
-        verdicts.append(
-            Verdict(
-                subject_id=session_id,
-                detector=detector.name,
-                score=1.0 if is_bot else 0.0,
-                is_bot=is_bot,
-            )
-        )
-    return verdicts
-
-
 def _timed(obs: Optional[object], family: str, run: Callable[[], List[Verdict]]):
     """Run one detector family under a ``detect.family.<name>`` timer."""
     if obs is None:
         return run()
     with obs.timer(f"detect.family.{family}").time():
         return run()
+
+
+def session_arm(
+    world: World, index: SessionIndex, obs: Optional[object] = None
+) -> List[List[Verdict]]:
+    """The session-level families on one index: volume thresholds,
+    k-means clustering and fingerprint rules, each under its
+    ``detect.family.<name>`` timer when ``obs`` is given."""
+    kmeans = ClusteringDetector(world.rngs.numpy_stream("detector.kmeans"))
+    return [
+        _timed(
+            obs, "volume-threshold",
+            lambda: VolumeDetector().judge_index(index),
+        ),
+        _timed(obs, "kmeans-behaviour", lambda: kmeans.judge_index(index)),
+        _timed(
+            obs, "fingerprint-rules",
+            lambda: FingerprintDetector().judge_index(
+                index, world.app.fingerprints_seen
+            ),
+        ),
+    ]
 
 
 def run_graph_case(
@@ -245,25 +237,10 @@ def run_graph_case(
     sessions = index.sessions()
 
     # Shared session-level families — identical inputs to both arms.
-    volume = _timed(
-        obs, "volume-threshold",
-        lambda: VolumeDetector().judge_index(index),
-    )
-    kmeans_detector = ClusteringDetector(
-        world.rngs.numpy_stream("detector.kmeans")
-    )
-    kmeans = _timed(
-        obs, "kmeans-behaviour",
-        lambda: kmeans_detector.judge_index(index),
-    )
-    fingerprint = _timed(
-        obs, "fingerprint-rules",
-        lambda: _fingerprint_session_verdicts(world, index),
-    )
-    base_families = [volume, kmeans, fingerprint]
+    base_families = session_arm(world, index, obs)
 
     session_fused = FusionDetector().fuse(base_families)
-    session_arm = ArmResult(
+    session_result = ArmResult(
         arm="session-fusion",
         verdicts=session_fused,
         evaluation=evaluate_verdicts(sessions, session_fused),
@@ -301,7 +278,7 @@ def run_graph_case(
         config=config,
         case_config=case_config,
         sessions=sessions,
-        session_arm=session_arm,
+        session_arm=session_result,
         graph_arm=graph_arm,
         campaigns=campaigns,
         campaign_evaluation=evaluate_campaigns(

@@ -3,10 +3,13 @@
 Two kinds of adapter ride the stream:
 
 * **session adapters** (:class:`SessionDetectorAdapter`) judge each
-  session *the moment it closes*, with the unmodified batch detector —
-  so end-of-stream verdicts are identical to running the detector over
-  the batch ``sessionize`` output, which is the equivalence the replay
-  harness asserts;
+  session *the moment it closes* with the family's streaming entry
+  point, ``judge(session)``.  Every session family has exactly one
+  batch entry point too, ``judge_index(index)`` over a
+  :class:`~repro.core.detection.session_index.SessionIndex`, and
+  end-of-stream verdicts are identical to it — the equivalence the
+  replay harness asserts.  ``sessionize`` and ``feature_matrix`` stay
+  as the executable spec both paths are tested against;
 * **entity fast paths** (:class:`HoldVelocityAdapter`,
   :class:`SmsVelocityAdapter`) keep sliding per-client tallies and can
   convict *while the session is still open* — the only verdicts that
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterable, List, Protocol
 
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.subjects import FP_SUBJECT_PREFIX, entity_subject
 from ..core.detection.verdict import Verdict
 from ..web.logs import LogEntry, Session
@@ -30,11 +34,15 @@ from .store import KeyedStore
 
 
 class SessionJudge(Protocol):
-    """The slice of a batch detector the session adapter needs."""
+    """A session family's two entry points: ``judge`` for the stream
+    (the session adapter), ``judge_index`` for batch
+    (:func:`~repro.stream.pipeline.batch_session_verdicts`)."""
 
     name: str
 
     def judge(self, session: Session) -> Verdict: ...
+
+    def judge_index(self, index: SessionIndex) -> List[Verdict]: ...
 
 
 class StreamAdapter:
@@ -59,7 +67,7 @@ class StreamAdapter:
 
 
 class SessionDetectorAdapter(StreamAdapter):
-    """Judges closed sessions with an unmodified batch detector.
+    """Judges each closed session with its family's ``judge``.
 
     Stateless between sessions, so its memory footprint is zero — all
     windowing lives in the sessionizer.

@@ -16,8 +16,9 @@ pushed to the verdict sink exactly once — while the run is still in
 progress, which is what lets mitigation act mid-attack.
 
 End-of-stream, :meth:`finish` flushes the sessionizer and returns a
-:class:`StreamReport` whose session verdicts are identical to the batch
-pipeline's on the same log (see :func:`batch_session_verdicts`).
+:class:`StreamReport` whose session verdicts — each family's per-session
+``judge`` — are identical to the batch pipeline's ``judge_index`` on the
+same log (see :func:`batch_session_verdicts`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from time import perf_counter
 from typing import Callable, List, Optional, Protocol, Sequence
 
 from ..core.detection.fusion import FusionDetector
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
 from ..web.logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
 from .adapters import SessionJudge, StreamAdapter
@@ -246,13 +248,10 @@ def batch_session_verdicts(
     detectors: Sequence[SessionJudge],
     idle_gap: float = DEFAULT_IDLE_GAP,
 ) -> List[Verdict]:
-    """The batch pipeline the stream is measured against: sessionize
-    the finished log, judge every session with every detector."""
-    from ..web.logs import sessionize
-
-    sessions = sessionize(log, idle_gap=idle_gap)
+    """The batch pipeline the stream is measured against: index the
+    finished log once, judge it with every detector's ``judge_index``."""
+    index = SessionIndex.from_log(log, idle_gap=idle_gap)
     verdicts: List[Verdict] = []
     for detector in detectors:
-        for session in sessions:
-            verdicts.append(detector.judge(session))
+        verdicts.extend(detector.judge_index(index))
     return verdicts

@@ -143,7 +143,10 @@ class TestVolumeDetector:
             make_session([(0.0, SEARCH)], session_id=f"S{i}")
             for i in range(4)
         ]
-        verdicts = detector.judge_all(sessions)
+        verdicts = detector.judge_matrix(
+            [s.session_id for s in sessions], feature_matrix(sessions)
+        )
         assert [v.subject_id for v in verdicts] == [
             "S0", "S1", "S2", "S3",
         ]
+        assert verdicts == [detector.judge(s) for s in sessions]

@@ -13,6 +13,7 @@ from repro.core.detection.fingerprint_rules import (
     block_by_ip,
     block_datacenter_asns,
 )
+from repro.core.detection.session_index import SessionIndex
 from repro.identity.fingerprint import FingerprintPopulation
 from repro.identity.forge import (
     FingerprintForge,
@@ -20,6 +21,7 @@ from repro.identity.forge import (
     NAIVE_SPOOF,
     RAW_HEADLESS,
 )
+from repro.web.logs import WebLog
 from repro.web.request import Request, SEARCH
 
 
@@ -84,6 +86,36 @@ class TestFingerprintDetector:
             bad.fingerprint_id: bad,
         }
         assert detector.flagged_ids(seen) == [bad.fingerprint_id]
+
+    def test_judge_index_sessions_inherit_fingerprint_verdict(self):
+        """Every session carries its fingerprint's rule verdict; a
+        fingerprint the edge never collected leaves its sessions clean."""
+        rng = random.Random(8)
+        good = FingerprintPopulation().sample(rng)
+        bad = FingerprintForge(RAW_HEADLESS).forge(rng)
+        log = WebLog()
+        for time, fingerprint_id in enumerate(
+            [bad.fingerprint_id, good.fingerprint_id, "unseen",
+             bad.fingerprint_id]
+        ):
+            client = ClientRef(
+                ip_address=f"1.1.1.{time}",
+                ip_country="US",
+                ip_residential=True,
+                fingerprint_id=fingerprint_id,
+                user_agent="UA",
+            )
+            log.append_fields(float(time), "GET", SEARCH, 200, client)
+        index = SessionIndex.from_log(log)
+        seen = {
+            good.fingerprint_id: good,
+            bad.fingerprint_id: bad,
+        }
+        verdicts = FingerprintDetector().judge_index(index, seen)
+        assert [v.subject_id for v in verdicts] == index.session_ids
+        assert [v.is_bot for v in verdicts] == [True, False, False, True]
+        assert [v.score for v in verdicts] == [1.0, 0.0, 0.0, 1.0]
+        assert {v.detector for v in verdicts} == {"fingerprint-rules"}
 
 
 class TestBlockPredicates:

@@ -10,6 +10,7 @@ from repro.core.detection.clustering import (
     ClusteringDetector,
     kmeans,
 )
+from repro.core.detection.features import feature_matrix
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
 
@@ -58,37 +59,52 @@ def separable_dataset(humans=20, scrapers=20):
     return sessions, labels
 
 
+def judge_sessions(detector, sessions):
+    """A matrix family's verdicts on hand-built sessions, via the
+    ``feature_matrix`` spec."""
+    return detector.judge_matrix(
+        [session.session_id for session in sessions],
+        feature_matrix(sessions),
+    )
+
+
 class TestLogisticClassifier:
     def test_learns_separable_data(self):
         sessions, labels = separable_dataset()
         classifier = LogisticSessionClassifier()
-        report = classifier.fit(sessions, labels)
+        report = classifier.fit_matrix(feature_matrix(sessions), labels)
         assert report.training_accuracy == 1.0
-        probabilities = classifier.predict_proba(sessions)
+        probabilities = classifier.predict_proba_matrix(
+            feature_matrix(sessions)
+        )
         assert probabilities[:20].max() < 0.5
         assert probabilities[20:].min() > 0.5
 
     def test_judge_all_threshold(self):
         sessions, labels = separable_dataset()
         classifier = LogisticSessionClassifier()
-        classifier.fit(sessions, labels)
-        verdicts = classifier.judge_all(sessions)
+        classifier.fit_matrix(feature_matrix(sessions), labels)
+        verdicts = judge_sessions(classifier, sessions)
         assert sum(v.is_bot for v in verdicts) == 20
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
-            LogisticSessionClassifier().predict_proba([])
+            LogisticSessionClassifier().predict_proba_matrix(
+                feature_matrix([])
+            )
 
     def test_label_mismatch_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit(sessions, [True])
+            LogisticSessionClassifier().fit_matrix(
+                feature_matrix(sessions), [True]
+            )
 
     def test_single_class_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit(
-                sessions, [True] * len(sessions)
+            LogisticSessionClassifier().fit_matrix(
+                feature_matrix(sessions), [True] * len(sessions)
             )
 
     def test_bad_threshold(self):
@@ -99,10 +115,11 @@ class TestLogisticClassifier:
         sessions, labels = separable_dataset()
         a = LogisticSessionClassifier()
         b = LogisticSessionClassifier()
-        a.fit(sessions, labels)
-        b.fit(sessions, labels)
+        matrix = feature_matrix(sessions)
+        a.fit_matrix(matrix, labels)
+        b.fit_matrix(matrix, labels)
         assert np.allclose(
-            a.predict_proba(sessions), b.predict_proba(sessions)
+            a.predict_proba_matrix(matrix), b.predict_proba_matrix(matrix)
         )
 
 
@@ -168,7 +185,9 @@ class TestClusteringDetector:
         detector = ClusteringDetector(
             np.random.default_rng(7), ClusteringConfig(k=2)
         )
-        verdicts = {v.subject_id: v for v in detector.judge_all(sessions)}
+        verdicts = {
+            v.subject_id: v for v in judge_sessions(detector, sessions)
+        }
         scraper_flagged = sum(verdicts[f"B{i}"].is_bot for i in range(5))
         human_flagged = sum(verdicts[f"H{i}"].is_bot for i in range(40))
         assert scraper_flagged == 5
@@ -179,7 +198,7 @@ class TestClusteringDetector:
             np.random.default_rng(7), ClusteringConfig(k=4)
         )
         sessions = [make_session("S1", 3)]
-        verdicts = detector.judge_all(sessions)
+        verdicts = judge_sessions(detector, sessions)
         assert len(verdicts) == 1
         assert not verdicts[0].is_bot
 
@@ -190,5 +209,5 @@ class TestClusteringDetector:
             for i in range(30)
         ]
         detector = ClusteringDetector(np.random.default_rng(3))
-        verdicts = detector.judge_all(sessions)
+        verdicts = judge_sessions(detector, sessions)
         assert not any(v.is_bot for v in verdicts)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common import ClientRef, LEGIT, SCRAPER
 from repro.core.detection.features import FEATURE_NAMES
+from repro.core.detection.session_index import SessionIndex
 from repro.ml import (
     Dataset,
     FeatureStore,
@@ -25,6 +26,7 @@ from repro.ml import (
 from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE, entry_token
 from repro.ml.io import ModelFormatError
 from repro.ml.train import calibrate_threshold
+from repro.scenarios.learned import LearnedCaseConfig, run_learned_case
 from repro.stream import SessionDetectorAdapter, StreamPipeline
 from repro.web.logs import LogEntry, Session, sessionize
 from repro.web.logs import WebLog
@@ -410,12 +412,20 @@ class TestLearnedDetector:
         weights are frozen at train time."""
         sessions, _ = separable_sessions(6, 6)
         detector = LearnedSessionDetector(trained_mlp)
-        batch = detector.judge_all(sessions)
+        batch = trained_mlp.predict_proba(build_dataset(sessions))
         single = [detector.judge(session) for session in sessions]
-        assert_verdicts_close(single, batch)
-        assert all(v.detector == "learned-sequence" for v in batch)
-        assert not any(v.is_bot for v in batch[:6])
-        assert all(v.is_bot for v in batch[6:])
+        assert [v.subject_id for v in single] == [
+            s.session_id for s in sessions
+        ]
+        assert [v.score for v in single] == pytest.approx(
+            list(batch), rel=1e-9
+        )
+        assert [v.is_bot for v in single] == list(
+            batch >= trained_mlp.threshold
+        )
+        assert all(v.detector == "learned-sequence" for v in single)
+        assert not any(v.is_bot for v in single[:6])
+        assert all(v.is_bot for v in single[6:])
 
     def test_stream_adapter_equivalence(self, trained_mlp):
         """The learned arm behind SessionDetectorAdapter emits the
@@ -456,10 +466,32 @@ class TestLearnedDetector:
         for entry in log.entries():
             pipeline.process(entry)
         report = pipeline.finish()
-        batch = detector.judge_all(sessionize(log))
+        batch = detector.judge_index(SessionIndex.from_log(log))
         streamed = sorted(
             report.session_verdicts, key=lambda v: v.subject_id
         )
         assert_verdicts_close(
             streamed, sorted(batch, key=lambda v: v.subject_id)
         )
+
+
+# -- learned-vs-hand-tuned case ----------------------------------------------
+
+
+class TestLearnedCase:
+    def test_short_logistic_run_scores_every_session(self):
+        """Regression: the hand-tuned arm handed a session list to a
+        fingerprint helper that takes a session index, so every
+        ``run_learned_case`` call crashed with AttributeError."""
+        result = run_learned_case(
+            LearnedCaseConfig(ticks_short=True, model="logistic", epochs=60)
+        )
+        assert result.sessions
+        for arm in (result.hand_tuned, result.learned, result.combined):
+            evaluation = arm.evaluation
+            assert (
+                evaluation.true_positives
+                + evaluation.false_positives
+                + evaluation.true_negatives
+                + evaluation.false_negatives
+            ) == len(result.sessions), arm.arm

@@ -211,10 +211,21 @@ class TestProfileCli:
         assert any(n.startswith("sim.event.") for n in timers)
         assert any(n.startswith("web.request.") for n in timers)
         assert any(n.startswith("stream.stage.") for n in timers)
+        families = [
+            f"detect.family.{family}"
+            for family in (
+                "volume-threshold", "kmeans-behaviour", "fingerprint-rules",
+            )
+        ]
+        for name in families:
+            assert timers[name]["count"] == 1, name
         stdout = capsys.readouterr().out
         assert "event-loop dispatch" in stdout
         assert "request latency" in stdout
         assert "per-stage latency" in stdout
+        assert "batch analysis" in stdout
+        for name in families:
+            assert name in stdout, name
 
     def test_profile_command_prom_format(self, tmp_path):
         out = str(tmp_path / "report.prom")

@@ -20,11 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common import ClientRef
 from repro.core.detection.classifier import LogisticSessionClassifier
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import (
-    FEATURE_NAMES,
-    feature_matrix,
-    feature_matrix_columnar,
-)
+from repro.core.detection.features import FEATURE_NAMES, feature_matrix
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.ml.data import build_dataset, build_dataset_columnar
@@ -181,16 +177,20 @@ class TestSessionIndexEquality:
 
 class TestFeatureMatrixColumnar:
     @pytest.mark.parametrize("backend", [COLUMNAR, LIST])
-    def test_wrapper_matches_object_path(self, backend):
+    def test_index_matches_object_path(self, backend):
         rng = random.Random(17)
         log = _log(_random_rows(rng, 800), backend)
         sessions = sessionize(log)
-        session_ids, matrix = feature_matrix_columnar(log)
-        assert session_ids == [s.session_id for s in sessions]
-        assert np.array_equal(matrix, feature_matrix(sessions))
+        index = SessionIndex.from_log(log)
+        assert index.session_ids == [s.session_id for s in sessions]
+        assert np.array_equal(index.matrix, feature_matrix(sessions))
 
 
 class TestDetectorEquivalence:
+    """Each family's ``judge_index`` against the spec: ``sessionize``
+    plus per-session ``judge``, or ``feature_matrix`` plus
+    ``judge_matrix`` / ``fit_matrix``."""
+
     def _fixture(self):
         rng = random.Random(77)
         log = _log(_random_rows(rng, 2000), COLUMNAR)
@@ -198,15 +198,18 @@ class TestDetectorEquivalence:
 
     def test_volume_verdicts_identical(self):
         sessions, index = self._fixture()
-        assert VolumeDetector().judge_all(sessions) == (
-            VolumeDetector().judge_index(index)
+        detector = VolumeDetector()
+        assert [detector.judge(s) for s in sessions] == (
+            detector.judge_index(index)
         )
 
     def test_kmeans_verdicts_identical(self):
         sessions, index = self._fixture()
         object_path = ClusteringDetector(
             np.random.default_rng(42)
-        ).judge_all(sessions)
+        ).judge_matrix(
+            [s.session_id for s in sessions], feature_matrix(sessions)
+        )
         columnar = ClusteringDetector(
             np.random.default_rng(42)
         ).judge_index(index)
@@ -217,14 +220,15 @@ class TestDetectorEquivalence:
         labels = [s.is_attacker for s in sessions]
         if len(set(labels)) < 2:
             pytest.skip("fixture produced single-class labels")
+        reference = feature_matrix(sessions)
         object_clf = LogisticSessionClassifier(max_iterations=200)
-        report_obj = object_clf.fit(sessions, labels)
+        report_obj = object_clf.fit_matrix(reference, labels)
         matrix_clf = LogisticSessionClassifier(max_iterations=200)
         report_mat = matrix_clf.fit_matrix(index.matrix, index.is_attacker)
         assert report_obj == report_mat
-        assert object_clf.judge_all(sessions) == (
-            matrix_clf.judge_index(index)
-        )
+        assert object_clf.judge_matrix(
+            [s.session_id for s in sessions], reference
+        ) == matrix_clf.judge_index(index)
 
     def test_ml_dataset_identical(self):
         sessions, index = self._fixture()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common import SCRAPER
 from repro.core.detection.features import extract_features
+from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.identity.forge import (
     BotIdentity,
@@ -115,12 +116,14 @@ class TestEvasiveScraper:
         bot = evasive_bot(world)
         bot.start(at=0.0)
         world.run_until(8 * HOUR)
-        sessions = [
-            s
-            for s in sessionize(world.app.log)
-            if s.actor_class == SCRAPER
+        index = SessionIndex.from_log(world.app.log)
+        verdicts = [
+            verdict
+            for verdict, actor_class in zip(
+                VolumeDetector().judge_index(index), index.actor_classes
+            )
+            if actor_class == SCRAPER
         ]
-        verdicts = VolumeDetector().judge_all(sessions)
         assert not any(v.is_bot for v in verdicts)
 
     def test_backs_off_after_blocks(self):
