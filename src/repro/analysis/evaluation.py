@@ -210,13 +210,6 @@ class CampaignEvaluation:
             else 0.0
         )
 
-    @property
-    def mean_time_to_detection(self) -> float:
-        if not self.time_to_detection:
-            return float("inf")
-        values = list(self.time_to_detection.values())
-        return sum(values) / len(values)
-
 
 def _predicted_session_ids(predicted: object) -> Tuple[str, ...]:
     """Accept ``Campaign``-like objects or plain session-id iterables."""

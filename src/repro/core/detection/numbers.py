@@ -133,10 +133,6 @@ class NumberReputationScorer:
     def convicted_fingerprints(self) -> List[str]:
         return sorted(self._convicted)
 
-    @property
-    def tracked_numbers(self) -> int:
-        return len(self._windows)
-
 
 def score_sms_records(
     records, scorer

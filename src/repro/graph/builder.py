@@ -161,9 +161,6 @@ class EntityGraph:
         """
         return self._adjacency.get(node, self._EMPTY_ADJACENCY)
 
-    def weighted_degree(self, node: EntityId) -> float:
-        return sum(self._adjacency.get(node, {}).values())
-
     def first_seen(self, node: EntityId) -> Optional[float]:
         return self._first_seen.get(node)
 

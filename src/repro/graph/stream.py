@@ -94,6 +94,13 @@ class GraphStreamAdapter(StreamAdapter):
         self.refreshes = 0
         self.final_analysis: Optional[GraphAnalysis] = None
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the CSR cache: the first refresh after a
+        restore recompiles identical arrays from the graph."""
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
+
     # -- stream hooks --------------------------------------------------------
 
     def on_entry(self, entry: LogEntry, now: float) -> Iterable[Verdict]:
@@ -125,8 +132,7 @@ class GraphStreamAdapter(StreamAdapter):
             ) if t is not None),
             default=0.0,
         )
-        verdicts = self._refresh(last, final=True)
-        return verdicts
+        return self._refresh(last, final=True)
 
     def evict_idle(self, now: float, idle_gap: float) -> None:
         self.builder.evict_idle_names(now, idle_gap)

@@ -205,12 +205,6 @@ class CaseCResult:
             return None
         return self.detection_time - self.config.attack_start
 
-    def surge_for(self, country_code: str) -> CountrySurge:
-        for surge in self.surge_table_expected:
-            if surge.country_code == country_code:
-                return surge
-        raise KeyError(f"no surge row for {country_code!r}")
-
     def table1_rows(self, top: int = 10, min_window: int = 50) -> List[CountrySurge]:
         """The Table I view: top-``top`` surging countries with at
         least ``min_window`` messages in the attack window (tiny-volume

@@ -130,7 +130,7 @@ class ServeApp:
         )
         obs.set_gauge(
             "serve.sessions_closed",
-            float(len(service.pipeline._sessions)),
+            float(service.pipeline.sessions_closed),
         )
         obs.set_gauge(
             "serve.subjects_tracked",

@@ -6,7 +6,10 @@ StreamPipeline` with the standard adapter set plus a
 seeded from the pipeline's own velocity/volume verdicts via
 ``seed_feeds``), applies ingested events journal-first through a
 :class:`~repro.serve.state.StateStore`, and checkpoints the pickled
-core every ``checkpoint_interval`` events.
+core every ``checkpoint_interval`` events.  The core holds live state
+only (closed sessions are counted, not kept; the graph's CSR cache is
+not pickled), so a checkpoint's cost tracks the live state, not the
+service's age.
 
 Everything in the core is deliberately plain picklable Python — the
 sink records verdicts instead of touching a live
@@ -393,7 +396,7 @@ class DetectionService:
             "snapshot_seq": self.store.snapshot_seq(),
             "journal_rows": self.store.journal_rows(),
             "checkpoint_interval": self.checkpoint_interval,
-            "sessions_closed": len(self.pipeline._sessions),
+            "sessions_closed": self.pipeline.sessions_closed,
             "subjects_tracked": self.pipeline.fusion.subjects_tracked,
             "campaigns_convicted": len(self.campaigns_view()),
             "entities_convicted": len(self.entities_view()),

@@ -5,10 +5,11 @@ Durability model (classic checkpoint/WAL):
 * every acknowledged event is first appended to the ``journal`` table
   and **committed** — an ack therefore promises the event survives a
   ``SIGKILL``;
-* every ``checkpoint_interval`` events the service pickles its full
-  in-memory detection core (pipeline, adapters, graph, fusion — all
-  pure deterministic Python state) into the ``snapshots`` table and
-  truncates the journal prefix the snapshot now covers;
+* every ``checkpoint_interval`` events the service pickles its live
+  detection core (open sessions, keyed stores, entity graph, seeds,
+  fusion, verdict and campaign ledgers — not the closed sessions or
+  the graph's CSR cache) into the ``snapshots`` table and truncates
+  the journal prefix the snapshot now covers;
 * restore = load latest snapshot, then re-apply the journal tail
   through the restored pipeline.  Because the pipeline is a
   deterministic function of its event prefix and pickling preserves
@@ -32,8 +33,9 @@ from typing import Dict, List, Optional, Tuple
 from ..web.logs import LogEntry
 from .codec import ENTRY_FIELDS, entry_from_row, entry_to_row
 
-#: Bumped when the on-disk schema changes.
-SCHEMA_VERSION = 1
+#: Bumped when the on-disk schema or the pickled core's layout changes
+#: (2: the pipeline stopped keeping closed sessions).
+SCHEMA_VERSION = 2
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (

@@ -18,7 +18,9 @@ progress, which is what lets mitigation act mid-attack.
 End-of-stream, :meth:`finish` flushes the sessionizer and returns a
 :class:`StreamReport` whose session verdicts — each family's per-session
 ``judge`` — are identical to the batch pipeline's ``judge_index`` on the
-same log (see :func:`batch_session_verdicts`).
+same log (see :func:`batch_session_verdicts`).  A closed session goes
+to every adapter and is then dropped — only its count is kept — so the
+pipeline's memory, and a checkpoint of it, holds open sessions only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class VerdictSink(Protocol):
 
 @dataclass
 class StreamReport:
-    """Everything one streaming run produced."""
+    """Everything one streaming run produced: verdicts and counts (the
+    closed sessions are not kept; ``on_session_closed`` sees each)."""
 
     events_processed: int
     sessions_closed: int
@@ -55,8 +58,6 @@ class StreamReport:
     entity_verdicts: List[Verdict] = field(default_factory=list)
     #: Final fused verdict per subject, sorted by subject id.
     fused: List[Verdict] = field(default_factory=list)
-    #: Closed sessions, sorted by start time (batch-equivalent).
-    sessions: List[Session] = field(default_factory=list)
     peak_open_sessions: int = 0
     sink_notifications: int = 0
 
@@ -96,7 +97,6 @@ class StreamPipeline:
         self.fusion = IncrementalFusion(fusion)
         self._session_verdicts: List[Verdict] = []
         self._entity_verdicts: List[Verdict] = []
-        self._sessions: List[Session] = []
         self._notified: set = set()
         self._finished = False
         self.events_processed = 0
@@ -168,14 +168,13 @@ class StreamPipeline:
             for verdict in adapter.end_of_stream():
                 self._entity_verdicts.append(verdict)
                 self._fuse(verdict, now)
-        self._sessions.sort(key=lambda s: s.start)
         obs = self.obs
         if obs is not None:
             obs.set_gauge(
                 "stream.events_processed", float(self.events_processed)
             )
             obs.set_gauge(
-                "stream.sessions_closed", float(len(self._sessions))
+                "stream.sessions_closed", float(self.sessions_closed)
             )
             # Per-stage throughput: entries per second of ingest-path
             # busy time (sessionize + adapters + evict; fusion nests
@@ -191,21 +190,24 @@ class StreamPipeline:
                 )
         return StreamReport(
             events_processed=self.events_processed,
-            sessions_closed=len(self._sessions),
+            sessions_closed=self.sessions_closed,
             session_verdicts=list(self._session_verdicts),
             entity_verdicts=list(self._entity_verdicts),
             fused=self.fusion.fused(),
-            sessions=list(self._sessions),
             peak_open_sessions=self.sessionizer.peak_open_sessions,
             sink_notifications=self.sink_notifications,
         )
+
+    @property
+    def sessions_closed(self) -> int:
+        """Sessions closed so far, each already handed to the adapters."""
+        return self.sessionizer.sessions_closed
 
     # -- internals ------------------------------------------------------------
 
     def _on_session_closed(
         self, session: Session, now: Optional[float] = None
     ) -> None:
-        self._sessions.append(session)
         when = now if now is not None else session.end
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0

@@ -145,10 +145,6 @@ class TraceWriter:
         self._handle.close()
         self._handle = None
 
-    @property
-    def distinct_strings(self) -> int:
-        return len(self._strings)
-
 
 class TraceReader:
     """Streaming trace reader; iterates :class:`LogEntry` objects.

@@ -126,10 +126,6 @@ class SeatSpinnerBot(Process):
 
     # -- identity -----------------------------------------------------------
 
-    def _rotate(self) -> None:
-        self.identity.rotate(self.loop.now)
-        self.ip = self.ip_pool.lease(self._rng)
-
     def _client(self):
         return make_client(
             self.ip,

@@ -1,8 +1,13 @@
 """Tests for repro.serve.service: journal-first application,
 checkpoint/restore equivalence, campaign conviction, digests."""
 
+import io
+import pickle
+from collections import Counter
+
 import pytest
 
+from repro.graph.propagation import CompiledGraph
 from repro.scenarios.streaming import build_stream_pipeline
 from repro.serve.codec import CodecError
 from repro.serve.service import (
@@ -12,6 +17,7 @@ from repro.serve.service import (
     ingest_payload,
 )
 from repro.serve.state import StateStore
+from repro.web.logs import Session
 
 from tests.serve_util import campaign_entries, make_entry, write_trace
 
@@ -20,6 +26,16 @@ def make_service(tmp_path, name="s.db", **kwargs):
     kwargs.setdefault("checkpoint_interval", 10_000)
     return DetectionService(
         StateStore(str(tmp_path / name)), **kwargs
+    )
+
+
+def live_views(service):
+    """Every read-out that carries mid-stream conviction state."""
+    return (
+        service.verdicts_view(),
+        service.campaigns_view(),
+        service.entities_view(),
+        service.status_view()["sessions_closed"],
     )
 
 
@@ -133,6 +149,7 @@ class TestRecoveryEquivalence:
             tmp_path, "a.db", checkpoint_interval=13
         )
         uninterrupted.ingest(events)
+        reference_views = live_views(uninterrupted)
         reference = uninterrupted.analysis_digest()
 
         # Interrupted run: ingest 60%, abandon the in-memory state
@@ -151,7 +168,9 @@ class TestRecoveryEquivalence:
         assert resumed.restored
         assert resumed.events_ingested == cut
         resumed.ingest(events[cut:], seq=cut)
+        assert live_views(resumed) == reference_views
         assert resumed.analysis_digest() == reference
+        assert live_views(resumed) == live_views(uninterrupted)
 
     def test_restore_replays_journal_tail(self, tmp_path):
         events = ingest_payload(campaign_entries())
@@ -186,6 +205,32 @@ class TestRecoveryEquivalence:
         assert not resumed.restored  # no snapshot, cold core
         assert resumed.journal_replayed == len(events)
         assert resumed.events_ingested == len(events)
+
+
+class TestSnapshotContents:
+    def test_checkpoint_holds_live_state_only(self, tmp_path):
+        """A snapshot pickles the open sessions, not the closed ones,
+        and no CSR compile of the graph — so it does not grow with
+        the length of the stream."""
+        entries = campaign_entries()
+        service = make_service(tmp_path, refresh_every=1, evict_every=1)
+        service.ingest(ingest_payload(entries[: len(entries) // 2]))
+        sessionizer = service.pipeline.sessionizer
+        assert sessionizer.sessions_closed > 0
+        assert service.graph._compiled is not None
+
+        pickled = Counter()
+
+        class CountingPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                pickled[type(obj)] += 1
+                return NotImplemented
+
+        CountingPickler(
+            io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL
+        ).dump(service._core)
+        assert pickled[Session] == sessionizer.open_sessions
+        assert pickled[CompiledGraph] == 0
 
 
 class TestDetectionOutcomes:

@@ -138,6 +138,17 @@ class TestStateStore:
         with pytest.raises(StateStoreError, match="schema version"):
             StateStore(path)
 
+    def test_older_schema_version_rejected(self, tmp_path):
+        """A database checkpointed by an older build carries an older
+        pickled core layout: refuse it at open, before any ingest is
+        journaled against it."""
+        path = str(tmp_path / "s.db")
+        with StateStore(path) as store:
+            store.set_meta("schema_version", str(SCHEMA_VERSION - 1))
+            store.commit()
+        with pytest.raises(StateStoreError, match="schema version"):
+            StateStore(path)
+
     def test_derived_tables_roundtrip(self, tmp_path):
         derived = {
             "verdicts": [

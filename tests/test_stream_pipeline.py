@@ -19,6 +19,7 @@ from repro.stream import (
     HoldVelocityAdapter,
     IncrementalFusion,
     SessionDetectorAdapter,
+    StreamAdapter,
     StreamPipeline,
     batch_session_verdicts,
     entity_subject,
@@ -127,17 +128,28 @@ class TestBatchEquivalence:
         assert len(report.session_verdicts) == len(batch)
 
     def test_sessions_identical_to_batch(self, case_a_log):
-        pipeline = StreamPipeline(adapters=[])
+        class Recorder(StreamAdapter):
+            def __init__(self):
+                self.sessions = []
+
+            def on_session_closed(self, session):
+                self.sessions.append(session)
+                return ()
+
+        recorder = Recorder()
+        pipeline = StreamPipeline(adapters=[recorder])
         for entry in case_a_log.iter_entries():
             pipeline.process(entry)
         report = pipeline.finish()
+        recorded = sorted(recorder.sessions, key=lambda s: s.start)
         batch = sessionize(case_a_log)
-        assert [s.session_id for s in report.sessions] == [
+        assert [s.session_id for s in recorded] == [
             s.session_id for s in batch
         ]
-        assert [tuple(e.time for e in s.entries) for s in report.sessions] == [
+        assert [tuple(e.time for e in s.entries) for s in recorded] == [
             tuple(e.time for e in s.entries) for s in batch
         ]
+        assert report.sessions_closed == len(recorded)
 
     def test_bounded_memory_on_real_log(self, case_a_log):
         pipeline = StreamPipeline(adapters=[])
