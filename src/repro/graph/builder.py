@@ -1,16 +1,17 @@
 """The multipartite entity graph and its incremental builder.
 
-:class:`EntityGraph` is a weighted undirected adjacency structure over
+:class:`EntityGraph` is a weighted undirected graph over
 :class:`~repro.graph.entities.EntityId` nodes with first/last-seen
-times per node.  Edge insertion is idempotent (same pair, max weight),
-so the graph a feed produces is independent of observation order — the
-property the streaming-equals-batch equivalence test pins.
+times per node; it stores each edge once.  Edge insertion is
+idempotent (same pair, max weight), so the graph a feed produces is
+independent of observation order — the property the
+streaming-equals-batch equivalence test pins.
 
 :class:`GraphBuilder` turns raw records into graph structure one
 observation at a time:
 
 * web-log entries / closed sessions — session ↔ fingerprint ↔ IP
-  (↔ /24 subnet), the links *within* a rotation epoch;
+  ↔ /24 subnet, the links *within* a rotation epoch;
 * booking records — fingerprint ↔ target flight and, gated on
   recurrence, fingerprint ↔ passenger-name key: the side-channel that
   survives Case A/B identity rotation;
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -53,7 +53,6 @@ from .entities import (
     session_node,
     subnet_node,
 )
-from .unionfind import KeyedUnionFind
 
 #: Edge trust weights by link type.  Strong links are identities the
 #: attacker must actively share (booking reference, recurring passenger
@@ -71,31 +70,41 @@ EDGE_IP_SUBNET = 0.5
 
 
 class EntityGraph:
-    """Weighted undirected multipartite graph with node timestamps."""
+    """Weighted undirected multipartite graph with node timestamps.
+
+    Nodes get int ids in insertion order (a node's position in
+    :meth:`nodes`).  The ``(lo_id, hi_id) -> weight`` edge map is the
+    only structure; :func:`~repro.graph.propagation.compile_graph`
+    derives the CSR form from it.
+    """
 
     def __init__(self) -> None:
-        self._adjacency: Dict[EntityId, Dict[EntityId, float]] = {}
+        self._ids: Dict[EntityId, int] = {}
+        self._nodes: List[EntityId] = []
+        self._edges: Dict[Tuple[int, int], float] = {}
         self._first_seen: Dict[EntityId, float] = {}
         self._last_seen: Dict[EntityId, float] = {}
-        self.edge_count = 0
         #: Structural version stamp: bumped on every node insertion,
         #: edge insertion and edge weight raise (never by :meth:`touch`
-        #: — timestamps are not structure).  Consumers that compile the
-        #: graph (:func:`repro.graph.propagation.compile_graph`) cache
-        #: the compiled form keyed on this and recompile only when the
-        #: structure actually changed.
+        #: — timestamps are not structure); a stale
+        #: :class:`~repro.graph.propagation.CompiledGraph` shows by it.
         self.version = 0
 
     # -- construction --------------------------------------------------------
 
     def add_node(
         self, node: EntityId, time: Optional[float] = None
-    ) -> None:
-        if node not in self._adjacency:
-            self._adjacency[node] = {}
+    ) -> int:
+        """Ensure ``node`` exists; return its int id."""
+        node_id = self._ids.get(node)
+        if node_id is None:
+            node_id = len(self._nodes)
+            self._ids[node] = node_id
+            self._nodes.append(node)
             self.version += 1
         if time is not None:
             self.touch(node, time)
+        return node_id
 
     def touch(self, node: EntityId, time: float) -> None:
         """Extend the node's observed [first_seen, last_seen] span."""
@@ -118,48 +127,47 @@ class EntityGraph:
             raise ValueError(f"self-edge not allowed: {a}")
         if not 0.0 < weight <= 1.0:
             raise ValueError(f"edge weight must be in (0, 1]: {weight}")
-        self.add_node(a, time)
-        self.add_node(b, time)
-        existing = self._adjacency[a].get(b)
-        if existing is None:
-            self.edge_count += 1
-            self._adjacency[a][b] = weight
-            self._adjacency[b][a] = weight
-            self.version += 1
-        elif weight > existing:
-            self._adjacency[a][b] = weight
-            self._adjacency[b][a] = weight
+        i = self.add_node(a, time)
+        j = self.add_node(b, time)
+        key = (i, j) if i < j else (j, i)
+        existing = self._edges.get(key)
+        if existing is None or weight > existing:
+            self._edges[key] = weight
             self.version += 1
 
     # -- reads ---------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._adjacency)
+        return len(self._nodes)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
+
+    @property
+    def edge_map(self) -> Mapping[Tuple[int, int], float]:
+        """The live ``(lo_id, hi_id) -> weight`` map — read-only by
+        contract (ids index :meth:`nodes`)."""
+        return self._edges
 
     def __contains__(self, node: EntityId) -> bool:
-        return node in self._adjacency
+        return node in self._ids
 
     def nodes(self, kind: Optional[str] = None) -> List[EntityId]:
-        """All nodes (optionally one kind), in insertion order."""
+        """All nodes (optionally one kind), in insertion (id) order."""
         if kind is None:
-            return list(self._adjacency)
-        return [node for node in self._adjacency if node.kind == kind]
+            return list(self._nodes)
+        return [node for node in self._nodes if node.kind == kind]
 
     def neighbors(self, node: EntityId) -> Dict[EntityId, float]:
-        return dict(self._adjacency.get(node, {}))
-
-    _EMPTY_ADJACENCY: Dict[EntityId, float] = {}
-
-    def neighbors_view(self, node: EntityId) -> Mapping[EntityId, float]:
-        """The node's live adjacency dict — read-only by contract.
-
-        :meth:`neighbors` returns a defensive copy, which is the right
-        default but O(degree) allocation per call; hot analysis loops
-        (graph compile, campaign corroboration/attachment scans) read
-        this view instead and must not mutate it.
-        """
-        return self._adjacency.get(node, self._EMPTY_ADJACENCY)
+        """Neighbours and edge weights (an O(edges) edge-map scan)."""
+        i = self._ids.get(node)
+        return {
+            self._nodes[lo if hi == i else hi]: weight
+            for (lo, hi), weight in self._edges.items()
+            if i in (lo, hi)
+        }
 
     def first_seen(self, node: EntityId) -> Optional[float]:
         return self._first_seen.get(node)
@@ -169,44 +177,17 @@ class EntityGraph:
 
     def kind_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for node in self._adjacency:
+        for node in self._nodes:
             counts[node.kind] = counts.get(node.kind, 0) + 1
         return counts
 
-    def components(
-        self, nodes: Optional[Iterable[EntityId]] = None
-    ) -> List[List[EntityId]]:
-        """Connected components over ``nodes`` (default: every node).
-
-        When ``nodes`` is given, components are computed on the induced
-        subgraph: only edges with both endpoints inside the set count.
-        Components and their members are returned in deterministic
-        sorted order.
-        """
-        allowed: Optional[Set[EntityId]] = (
-            None if nodes is None else set(nodes)
-        )
-        union: KeyedUnionFind[EntityId] = KeyedUnionFind()
-        pool = self._adjacency if allowed is None else allowed
-        for node in sorted(pool):
-            if allowed is not None and node not in self._adjacency:
-                continue
-            union.add(node)
-            for neighbor in self._adjacency.get(node, {}):
-                if allowed is None or neighbor in allowed:
-                    union.union(node, neighbor)
-        return sorted(
-            (sorted(group) for group in union.groups()),
-            key=lambda group: group[0],
-        )
-
     def edges(self) -> List[Tuple[EntityId, EntityId, float]]:
         """Every edge once, endpoints ordered, sorted."""
+        nodes = self._nodes
         found = []
-        for a, neighbors in self._adjacency.items():
-            for b, weight in neighbors.items():
-                if a < b:
-                    found.append((a, b, weight))
+        for (i, j), weight in self._edges.items():
+            a, b = nodes[i], nodes[j]
+            found.append((a, b, weight) if a < b else (b, a, weight))
         return sorted(found)
 
     def snapshot(self, include_spans: bool = False) -> Dict[str, object]:
@@ -276,8 +257,6 @@ class GraphBuilderConfig:
 
     min_name_repeats: int = 2
     max_pending_names: int = 50_000
-    include_subnets: bool = True
-    link_flights: bool = True
 
     def __post_init__(self) -> None:
         if self.min_name_repeats < 1:
@@ -339,11 +318,10 @@ class GraphBuilder:
         fp = fingerprint_node(entry.client.fingerprint_id)
         ip = ip_node(entry.client.ip_address)
         self.graph.add_edge(fp, ip, EDGE_FINGERPRINT_IP, time=entry.time)
-        if self.config.include_subnets:
-            self.graph.add_edge(
-                ip, subnet_node(entry.client.ip_address),
-                EDGE_IP_SUBNET, time=entry.time,
-            )
+        self.graph.add_edge(
+            ip, subnet_node(entry.client.ip_address),
+            EDGE_IP_SUBNET, time=entry.time,
+        )
         self._update_gauges()
 
     def observe_session(self, session: Session) -> None:
@@ -359,11 +337,10 @@ class GraphBuilder:
         )
         self.graph.add_edge(node, ip, EDGE_SESSION_IP, time=session.start)
         self.graph.add_edge(fp, ip, EDGE_FINGERPRINT_IP, time=session.start)
-        if self.config.include_subnets:
-            self.graph.add_edge(
-                ip, subnet_node(session.ip_address),
-                EDGE_IP_SUBNET, time=session.start,
-            )
+        self.graph.add_edge(
+            ip, subnet_node(session.ip_address),
+            EDGE_IP_SUBNET, time=session.start,
+        )
         self._update_gauges()
 
     def observe_booking(self, record: BookingRecord) -> None:
@@ -372,11 +349,10 @@ class GraphBuilder:
         fp = fingerprint_node(record.client.fingerprint_id)
         ip = ip_node(record.client.ip_address)
         self.graph.add_edge(fp, ip, EDGE_FINGERPRINT_IP, time=record.time)
-        if self.config.link_flights:
-            self.graph.add_edge(
-                fp, flight_node(record.flight_id),
-                EDGE_FINGERPRINT_FLIGHT, time=record.time,
-            )
+        self.graph.add_edge(
+            fp, flight_node(record.flight_id),
+            EDGE_FINGERPRINT_FLIGHT, time=record.time,
+        )
         for key in sorted({p.name_key for p in record.passengers}):
             self._observe_name(key, record.client.fingerprint_id, record.time)
         self._update_gauges()

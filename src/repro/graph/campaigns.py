@@ -53,7 +53,7 @@ from typing import (
 
 from ..core.detection.verdict import Verdict
 from .builder import EntityGraph
-from .propagation import CompiledGraph
+from .propagation import CompiledGraph, compile_graph
 from .entities import (
     BOOKING_REF,
     FINGERPRINT,
@@ -281,21 +281,19 @@ def extract_campaigns(
     merits, while one that merely inherited heat from a single shared
     identity node needs ``min_device_corroboration`` risky neighbours.
 
-    ``compiled`` (when given) serves the neighbour scans from the CSR
-    arrays :func:`~repro.graph.propagation.compile_graph` already
-    built for propagation, skipping per-call adjacency dict copies;
-    corroboration counts and attachment sets are order-independent,
-    so the result is identical either way.
+    Neighbour scans and the core's components read the CSR form of
+    ``graph``: ``compiled`` when the caller already built it for
+    propagation, else a fresh :func:`~repro.graph.propagation.
+    compile_graph`.
 
     Campaigns are ordered largest-first (session count, then first
     member id) and named ``C001``, ``C002``, ... deterministically.
     """
     config = config or CampaignConfig()
     seeds = seeds or {}
-    if compiled is not None and compiled.version == graph.version:
-        neighbors_of = compiled.neighbors_of
-    else:
-        neighbors_of = graph.neighbors_view
+    if compiled is None:
+        compiled = compile_graph(graph, obs=obs)
+    neighbors_of = compiled.neighbors_of
     core = [
         node
         for node in graph.nodes()
@@ -307,7 +305,7 @@ def extract_campaigns(
             or _corroborated(neighbors_of, node, scores, seeds, config)
         )
     ]
-    components = graph.components(core)
+    components = compiled.components(core)
 
     candidates: List[Tuple[Tuple[EntityId, ...], float, float, float]] = []
     for component in components:

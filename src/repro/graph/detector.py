@@ -202,7 +202,7 @@ class GraphAnalysis:
     campaign_verdicts: List[CampaignVerdict]
     #: The merged seed map the sweep started from — kept so equivalence
     #: harnesses can replay the exact analysis through the dict
-    #: reference path (``propagate_dict`` + uncompiled extraction).
+    #: reference path (``propagate_dict``).
     seeds: Dict[EntityId, float] = field(default_factory=dict)
 
 
@@ -215,12 +215,11 @@ def analyze(
 ) -> GraphAnalysis:
     """Propagate ``seeds`` and extract campaign verdicts (pure).
 
-    The graph is compiled to CSR form once (or reused via ``compiled``
-    when the caller's cached copy is still structurally current) and
-    shared by both the propagation sweep and the campaign extraction's
-    neighbour scans.
+    The graph is compiled to CSR form once (here, unless the caller
+    passes ``compiled``) and shared by the propagation sweep and the
+    campaign extraction's neighbour scans.
     """
-    if compiled is None or compiled.version != graph.version:
+    if compiled is None:
         compiled = compile_graph(graph, obs=obs)
     result = propagate(
         graph, seeds, config=config.propagation, obs=obs,

@@ -40,29 +40,32 @@ Properties the test-suite pins:
   fixed point; the loop stops when the largest per-node delta drops
   below tolerance.
 
-The sweep itself runs on a :class:`CompiledGraph`: the adjacency dicts
-are compiled once into int-indexed CSR arrays (incoming edges grouped
-by destination, sources sorted within each group) and every Jacobi
-round becomes three NumPy operations — gather source mass, scale by
-the precomputed coupling, ``np.bincount`` back onto destinations.
-``np.bincount`` accumulates its weights in array order, which is the
-sorted-neighbour order the CSR layout stores, so the vectorized sweep
-is bit-identical to the historical per-edge Python loop (kept as
-:func:`propagate_dict`, the reference the property tests compare
-against).  Compilation is seed-independent, so streaming callers
-reuse one compiled graph across refreshes until the structure grows.
+The sweep itself runs on a :class:`CompiledGraph`: the graph's edge
+map is compiled into int-indexed CSR arrays (incoming edges grouped
+by destination, sources sorted within each group, both by one
+``np.lexsort``) and every Jacobi round becomes three NumPy
+operations — gather source mass, scale by the precomputed coupling,
+``np.bincount`` back onto destinations.  ``np.bincount`` accumulates
+its weights in array order, which is the sorted-neighbour order the
+CSR layout stores, so the vectorized sweep is bit-identical to the
+historical per-edge Python loop (kept as :func:`propagate_dict`, the
+reference the property tests compare against).  Each analysis
+compiles afresh: the graph keeps no compiled copy of itself, and
+campaign extraction reads the same arrays the sweep used.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .builder import EntityGraph
 from .entities import EntityId
+from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,8 @@ class CompiledGraph:
     at propagate time.
 
     Compilation depends only on graph *structure* (not on seeds or
-    config), and carries the graph's structural ``version`` stamp so
-    callers can cache the compiled form and recompile only when the
-    graph actually grew.
+    config) and carries the graph's structural ``version`` stamp, so
+    :func:`propagate` can refuse a compile the graph has outgrown.
     """
 
     nodes: List[EntityId]
@@ -158,37 +160,63 @@ class CompiledGraph:
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         return [self.nodes[j] for j in self.src[lo:hi]]
 
+    def components(
+        self, nodes: Optional[Iterable[EntityId]] = None
+    ) -> List[List[EntityId]]:
+        """Sorted connected components of the subgraph induced by
+        ``nodes`` (default: every node; unknown nodes are ignored)."""
+        if nodes is None:
+            members = list(range(self.node_count))
+        else:
+            members = sorted({self.index[n] for n in nodes if n in self.index})
+        position = np.full(self.node_count, -1, dtype=np.int64)
+        position[members] = np.arange(len(members), dtype=np.int64)
+        src, dst = position[self.src], position[self.dst]
+        inside = (src >= 0) & (src < dst)
+        union = UnionFind(len(members))
+        for a, b in zip(src[inside].tolist(), dst[inside].tolist()):
+            union.union(a, b)
+        # Members ascend by node id, groups by their first member.
+        return [
+            [self.nodes[members[k]] for k in group]
+            for group in union.groups()
+        ]
+
 
 def compile_graph(
     graph: EntityGraph, obs: Optional[object] = None
 ) -> CompiledGraph:
-    """Compile ``graph`` into CSR arrays (one-time, seed-independent)."""
+    """Compile ``graph`` into CSR arrays (seed-independent): nodes
+    ranked by sorted id, both directions of every edge ordered by one
+    ``np.lexsort`` on (destination, source)."""
     span = obs.timer("graph.compile").time() if obs is not None else None
     if span is not None:
         span.__enter__()
     try:
-        nodes = sorted(graph.nodes())
+        by_id = graph.nodes()
+        n = len(by_id)
+        order = sorted(range(n), key=by_id.__getitem__)
+        nodes = [by_id[i] for i in order]
         index = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        counts = np.empty(n, dtype=np.int64)
-        src_ids: List[int] = []
-        weight_list: List[float] = []
-        for i, node in enumerate(nodes):
-            items = sorted(graph.neighbors_view(node).items())
-            counts[i] = len(items)
-            for neighbor, weight in items:
-                src_ids.append(index[neighbor])
-                weight_list.append(weight)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        edge_map = graph.edge_map
+        m = len(edge_map)
+        ends = rank[
+            np.fromiter(chain.from_iterable(edge_map), np.int64, 2 * m)
+        ]
+        a, b = ends[0::2], ends[1::2]
+        half = np.fromiter(edge_map.values(), np.float64, m)
+        src = np.concatenate((a, b))
+        dst = np.concatenate((b, a))
+        perm = np.lexsort((src, dst))
+        src, dst = src[perm], dst[perm]
+        weights = np.concatenate((half, half))[perm]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        src = np.asarray(src_ids, dtype=np.int64)
-        weights = np.asarray(weight_list, dtype=np.float64)
-        # Destination index per edge; bincount over it accumulates each
-        # node's incoming sum in sorted-source order — the dict path's
-        # exact summation order.
-        dst = np.repeat(np.arange(n, dtype=np.int64), counts)
+        np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+        # bincount over dst accumulates each node's incoming sum in
+        # sorted-source order — the dict path's exact summation order.
         degree = np.bincount(dst, weights=weights, minlength=n)
-        src_degree = degree[src] if n else np.empty(0, dtype=np.float64)
         compiled = CompiledGraph(
             nodes=nodes,
             index=index,
@@ -197,7 +225,7 @@ def compile_graph(
             dst=dst,
             weights=weights,
             degree=degree,
-            src_degree=src_degree,
+            src_degree=degree[src],
             version=graph.version,
         )
     finally:
@@ -224,9 +252,9 @@ def propagate(
     in, and scores are clamped into [0, 1] on the way out, so a caller
     cannot push the diffusion out of range.
 
-    ``compiled`` reuses a previous :func:`compile_graph` result; it
-    must match the graph's current structural version (streaming
-    callers cache it and recompile only when the graph grew).
+    ``compiled`` reuses a :func:`compile_graph` result of this graph
+    (the caller shares it with campaign extraction); one compiled
+    before the graph last changed is refused with ``ValueError``.
     """
     config = config or PropagationConfig()
     if compiled is None:
@@ -315,31 +343,31 @@ def propagate_dict(
         node: min(max(float(seeds.get(node, 0.0)), 0.0), 1.0)
         for node in nodes
     }
-    # Precompute sorted incoming-edge lists with the source-side
-    # normalized coupling, so each round is a flat scan over directed
-    # edges; sorting makes float sums independent of the order records
-    # fed the builder.
-    # Degrees are summed over *sorted* neighbours (not the graph's
-    # insertion-ordered adjacency): float addition is not associative,
-    # so this is what makes two builds of the same record set — batch
-    # vs streaming, any interleaving — produce bit-identical scores.
-    degree = {
-        node: sum(
-            weight
-            for _, weight in sorted(graph.neighbors(node).items())
-        )
-        for node in nodes
+    # Degrees and incoming sums run over *sorted* neighbours: float
+    # addition is not associative, so this is what makes two builds of
+    # the same record set — batch vs streaming, any interleaving —
+    # produce bit-identical scores.
+    adjacency: Dict[EntityId, List[Tuple[EntityId, float]]] = {
+        node: [] for node in nodes
     }
-    incoming: Dict[EntityId, List[Tuple[EntityId, float]]] = {}
-    for node in nodes:
-        pairs = []
-        for neighbor, weight in sorted(graph.neighbors(node).items()):
-            # The *source* (neighbor) side normalizes: a node re-emits
-            # d times its mass, split across its edges by weight.
-            pairs.append(
-                (neighbor, config.damping * weight / degree[neighbor])
-            )
-        incoming[node] = pairs
+    for a, b, weight in graph.edges():
+        adjacency[a].append((b, weight))
+        adjacency[b].append((a, weight))
+    for pairs in adjacency.values():
+        pairs.sort()
+    degree = {
+        node: sum(weight for _, weight in pairs)
+        for node, pairs in adjacency.items()
+    }
+    # The *source* (neighbor) side normalizes: a node re-emits d times
+    # its mass, split across its edges by weight.
+    incoming: Dict[EntityId, List[Tuple[EntityId, float]]] = {
+        node: [
+            (neighbor, config.damping * weight / degree[neighbor])
+            for neighbor, weight in pairs
+        ]
+        for node, pairs in adjacency.items()
+    }
 
     mass = dict(seed_of)
     rounds = 0

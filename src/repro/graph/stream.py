@@ -45,7 +45,7 @@ from .detector import (
     session_prior,
 )
 from .entities import EntityId, session_node
-from .propagation import CompiledGraph, compile_graph
+from .propagation import compile_graph
 
 
 class GraphStreamAdapter(StreamAdapter):
@@ -86,20 +86,8 @@ class GraphStreamAdapter(StreamAdapter):
         self._seeds: Dict[EntityId, float] = {}
         self._convicted_fingerprints: set = set()
         self._sessions_since_refresh = 0
-        #: Cached CSR compile of the builder's graph, keyed on the
-        #: graph's structural version: refreshes that land between
-        #: structural changes (or the final analysis right after a
-        #: periodic one) reuse the arrays instead of recompiling.
-        self._compiled: Optional[CompiledGraph] = None
         self.refreshes = 0
         self.final_analysis: Optional[GraphAnalysis] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the CSR cache: the first refresh after a
-        restore recompiles identical arrays from the graph."""
-        state = self.__dict__.copy()
-        state["_compiled"] = None
-        return state
 
     # -- stream hooks --------------------------------------------------------
 
@@ -160,17 +148,13 @@ class GraphStreamAdapter(StreamAdapter):
         self.refreshes += 1
         self._drain_seed_feeds()
         graph = self.builder.graph
-        if (
-            self._compiled is None
-            or self._compiled.version != graph.version
-        ):
-            self._compiled = compile_graph(graph, obs=self.obs)
+        compiled = compile_graph(graph, obs=self.obs)
         analysis = analyze(
             graph,
             merged_seeds(self._seeds, self.builder, self.config),
             self.config,
             obs=self.obs,
-            compiled=self._compiled,
+            compiled=compiled,
         )
         if final:
             self.final_analysis = analysis

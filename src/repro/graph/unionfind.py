@@ -2,11 +2,12 @@
 
 :class:`UnionFind` is the dense integer variant the identity linker in
 :mod:`repro.core.detection.rotation` has always used (it now lives here
-so every graph consumer shares one implementation).
-:class:`KeyedUnionFind` lifts the same structure to arbitrary hashable
-keys with dynamic growth — the shape connected-component extraction
-over an :class:`~repro.graph.builder.EntityGraph` needs, where nodes
-arrive incrementally and are tuples, not indices.
+so every graph consumer shares one implementation); connected
+components over a compiled entity graph
+(:meth:`~repro.graph.propagation.CompiledGraph.components`) run on it
+too.  :class:`KeyedUnionFind` lifts the same structure to arbitrary
+hashable keys with dynamic growth, for callers whose items arrive
+incrementally and are tuples, not indices.
 
 Both keep the classic invariants: path compression never changes which
 root represents a set, union is by size, and ``groups()`` is a

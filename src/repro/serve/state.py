@@ -7,9 +7,9 @@ Durability model (classic checkpoint/WAL):
   ``SIGKILL``;
 * every ``checkpoint_interval`` events the service pickles its live
   detection core (open sessions, keyed stores, entity graph, seeds,
-  fusion, verdict and campaign ledgers — not the closed sessions or
-  the graph's CSR cache) into the ``snapshots`` table and truncates
-  the journal prefix the snapshot now covers;
+  fusion, verdict and campaign ledgers — not the closed sessions)
+  into the ``snapshots`` table and truncates the journal prefix the
+  snapshot now covers;
 * restore = load latest snapshot, then re-apply the journal tail
   through the restored pipeline.  Because the pipeline is a
   deterministic function of its event prefix and pickling preserves
@@ -34,8 +34,9 @@ from ..web.logs import LogEntry
 from .codec import ENTRY_FIELDS, entry_from_row, entry_to_row
 
 #: Bumped when the on-disk schema or the pickled core's layout changes
-#: (2: the pipeline stopped keeping closed sessions).
-SCHEMA_VERSION = 2
+#: (2: the pipeline stopped keeping closed sessions; 3: the entity
+#: graph stores each edge once in an id-pair map).
+SCHEMA_VERSION = 3
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (

@@ -28,6 +28,7 @@ from repro.graph.entities import (
     session_node,
     subnet_node,
 )
+from repro.graph.propagation import compile_graph
 from repro.sms.gateway import SmsRecord
 from repro.sms.numbers import PhoneNumber
 from repro.web.logs import LogEntry, Session
@@ -131,10 +132,11 @@ class TestEntityGraph:
         name = name_key_node(("anna", "nowak"))
         graph.add_edge(fp1, name, 0.9)
         graph.add_edge(fp2, name, 0.9)
-        assert graph.components() == [[fp1, fp2, name]]
-        assert graph.components([fp1, fp2]) == [[fp1], [fp2]]
+        compiled = compile_graph(graph)
+        assert compiled.components() == [[fp1, fp2, name]]
+        assert compiled.components([fp1, fp2]) == [[fp1], [fp2]]
         # Unknown nodes in the filter are ignored.
-        assert graph.components([fp1, fingerprint_node("ghost")]) == [
+        assert compiled.components([fp1, fingerprint_node("ghost")]) == [
             [fp1]
         ]
 
@@ -285,30 +287,18 @@ class TestGraphBuilder:
         assert builder.graph.first_seen(session) == 5.0
         assert builder.graph.last_seen(session) == 25.0
 
-    def test_subnet_and_flight_links_can_be_disabled(self):
-        config = GraphBuilderConfig(
-            include_subnets=False, link_flights=False
-        )
-        builder = GraphBuilder(config)
+    def test_subnet_and_flight_links_are_always_on(self):
+        builder = GraphBuilder()
         builder.observe_session(
             make_session("s1", "f1", "10.0.0.1", [0.0])
         )
         builder.observe_booking(
             make_booking(1.0, "f1", "10.0.0.1", [("jan", "lis")])
         )
-        assert builder.graph.nodes(kind="subnet") == []
-        assert builder.graph.nodes(kind="flight") == []
-        with_links = GraphBuilder()
-        with_links.observe_session(
-            make_session("s1", "f1", "10.0.0.1", [0.0])
-        )
-        with_links.observe_booking(
-            make_booking(1.0, "f1", "10.0.0.1", [("jan", "lis")])
-        )
-        assert with_links.graph.nodes(kind="subnet") == [
+        assert builder.graph.nodes(kind="subnet") == [
             subnet_node("10.0.0.1")
         ]
-        assert with_links.graph.nodes(kind="flight") == [
+        assert builder.graph.nodes(kind="flight") == [
             flight_node("LO123")
         ]
 

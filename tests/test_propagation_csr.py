@@ -1,4 +1,4 @@
-"""CSR propagation kernel vs the dict reference, plus compile caching.
+"""CSR propagation kernel vs the dict reference, and the CSR compile.
 
 The vectorized Jacobi sweep in :func:`repro.graph.propagation.propagate`
 must be *bit-identical* to the retained dict implementation
@@ -7,8 +7,11 @@ damping factor associativity — so these tests pin exact equality on
 random multipartite graphs (including isolated nodes and zero-seed
 worlds), identical round counts and convergence flags, and identical
 ``top()`` rankings.  Alongside: the ``top()`` heap-selection tie-break
-regression and the ``CompiledGraph`` version-stamp lifecycle.
+regression, the ``CompiledGraph`` version-stamp lifecycle, and the
+compile's independence from edge insertion order.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -204,6 +207,79 @@ class TestCompiledGraphLifecycle:
             compiled.edge_count
         )
         assert registry.timers("graph.compile")
+
+
+_CSR_ARRAYS = ("indptr", "src", "dst", "weights", "degree", "src_degree")
+
+
+class TestCompileIsInsertionOrderFree:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        edges=_EDGES,
+        isolated=_ISOLATED,
+        shuffle_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        repeat_scales=st.lists(
+            st.sampled_from((0.5, 1.0, 1.5)), max_size=10
+        ),
+    )
+    def test_shuffled_inserts_compile_bit_identically(
+        self, edges, isolated, shuffle_seed, repeat_scales
+    ):
+        """The same edge set inserted in another order — with repeats
+        at lower and higher weight mixed in — compiles to the same
+        bytes, because the max weight wins and nodes are ranked by id,
+        not by when they arrived."""
+        rng = random.Random(shuffle_seed)
+        repeats = [
+            (ka, a, kb, b, min(1.0, weight * scale))
+            for (ka, a, kb, b, weight), scale in zip(
+                rng.sample(edges, len(edges)), repeat_scales
+            )
+        ]
+        ordered = list(edges) + repeats
+        shuffled = ordered[:]
+        rng.shuffle(shuffled)
+        # Swapping endpoints must not matter either.
+        shuffled = [
+            (kb, b, ka, a, w) if rng.random() < 0.5 else (ka, a, kb, b, w)
+            for ka, a, kb, b, w in shuffled
+        ]
+        reference = compile_graph(_build(ordered, isolated))
+        other = compile_graph(
+            _build(shuffled, list(reversed(isolated)))
+        )
+        assert other.nodes == reference.nodes
+        assert other.index == reference.index
+        for name in _CSR_ARRAYS:
+            mine, theirs = getattr(other, name), getattr(reference, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
+
+
+class TestNeighborsReadTheEdgeMap:
+    def test_neighbors_without_compile(self, monkeypatch):
+        """``neighbors`` reads the stored edges, never a compiled copy:
+        it works with compilation disabled and sees an edge the moment
+        it is added."""
+        import repro.graph.propagation as propagation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("neighbors() must not compile")
+
+        monkeypatch.setattr(propagation, "compile_graph", refuse)
+        graph = _build([(0, 0, 1, 1, 0.5), (1, 1, 2, 2, 0.25)])
+        assert graph.neighbors(_node(1, 1)) == {
+            _node(0, 0): 0.5,
+            _node(2, 2): 0.25,
+        }
+        graph.add_edge(_node(3, 3), _node(1, 1), 0.75)
+        graph.add_edge(_node(0, 0), _node(1, 1), 0.9)
+        assert graph.neighbors(_node(1, 1)) == {
+            _node(0, 0): 0.9,
+            _node(2, 2): 0.25,
+            _node(3, 3): 0.75,
+        }
+        assert graph.neighbors(_node(3, 9)) == {}
 
 
 class TestConfigEquivalenceAcrossSweeps:

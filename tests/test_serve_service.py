@@ -22,6 +22,13 @@ from repro.web.logs import Session
 from tests.serve_util import campaign_entries, make_entry, write_trace
 
 
+#: ``analysis_digest()`` of ``campaign_entries()`` through a service;
+#: recompute it only for a change meant to move results.
+GOLDEN_CAMPAIGN_DIGEST = (
+    "c60be1b935ecd6ae1b8fe62faf753608c0195cfa16e58b2c9338bcbd269d9c31"
+)
+
+
 def make_service(tmp_path, name="s.db", **kwargs):
     kwargs.setdefault("checkpoint_interval", 10_000)
     return DetectionService(
@@ -217,7 +224,6 @@ class TestSnapshotContents:
         service.ingest(ingest_payload(entries[: len(entries) // 2]))
         sessionizer = service.pipeline.sessionizer
         assert sessionizer.sessions_closed > 0
-        assert service.graph._compiled is not None
 
         pickled = Counter()
 
@@ -231,6 +237,20 @@ class TestSnapshotContents:
         ).dump(service._core)
         assert pickled[Session] == sessionizer.open_sessions
         assert pickled[CompiledGraph] == 0
+
+
+class TestGoldenDigest:
+    def test_campaign_trace_digest_is_pinned(self, tmp_path):
+        """A literal digest, not batch == stream == serve: a change
+        that moved verdicts, propagation scores or campaigns the same
+        way on every path fails here.  Mid-stream refreshes do not
+        change the final analysis, so both cadences pin one value."""
+        for name, refresh_every in (("a.db", None), ("b.db", 2)):
+            service = make_service(
+                tmp_path, name, refresh_every=refresh_every
+            )
+            service.ingest(ingest_payload(campaign_entries()))
+            assert service.analysis_digest() == GOLDEN_CAMPAIGN_DIGEST
 
 
 class TestDetectionOutcomes:
