@@ -1,5 +1,7 @@
 """Tests for repro.ml: datasets, model ladder, RPML io, detector."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.ml import (
 from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE, entry_token
 from repro.ml.io import ModelFormatError
 from repro.ml.train import calibrate_threshold
+from repro.runner.spec import canonical_json
 from repro.scenarios.learned import LearnedCaseConfig, run_learned_case
 from repro.stream import SessionDetectorAdapter, StreamPipeline
 from repro.web.logs import LogEntry, Session, sessionize
@@ -495,3 +498,12 @@ class TestLearnedCase:
                 + evaluation.true_negatives
                 + evaluation.false_negatives
             ) == len(result.sessions), arm.arm
+        # Pins the simulated worlds (evaluation and training), not the
+        # trained weights: the evasive Case A preset feeds both.
+        worlds = canonical_json({
+            "recorder": result.world.metrics.snapshot(),
+            "training_sessions": result.train.meta["training_sessions"],
+        })
+        assert hashlib.sha256(worlds.encode()).hexdigest() == (
+            "d7b86cad100b52826ec5c448714fe2de5bc93c168945043d544ba0a49a9ab8ef"
+        )

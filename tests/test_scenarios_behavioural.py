@@ -1,11 +1,14 @@
 """Integration tests for the Section V behavioural-stack scenario."""
 
+import hashlib
+
 import pytest
 
 from repro.scenarios.behavioural import (
     BehaviouralConfig,
     run_behavioural_stack,
 )
+from repro.runner.spec import canonical_json
 from repro.sim.clock import DAY
 
 
@@ -53,4 +56,26 @@ class TestBehaviouralStack:
         assert (
             result.run_for("fusion").evaluation.false_positive_rate
             < 0.02
+        )
+
+    def test_outcome_digest_is_pinned(self, result):
+        payload = {
+            "runs": {
+                name: {
+                    "confusion": [
+                        run.evaluation.true_positives,
+                        run.evaluation.false_positives,
+                        run.evaluation.true_negatives,
+                        run.evaluation.false_negatives,
+                    ],
+                    "recall_by_class": run.recall_by_class,
+                }
+                for name, run in result.runs.items()
+            },
+            "session_counts": result.session_counts_by_class,
+            "recorder": result.world.metrics.snapshot(),
+        }
+        digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        assert digest == (
+            "ec75ff6bfb44a5f6e41df93f69bc8f26ccb1ff5a6cf173dc4d76ec78c5882f12"
         )
