@@ -1,8 +1,11 @@
 """Pre-wired scenarios reproducing the paper's case studies.
 
-* :mod:`~repro.scenarios.world` — platform builder shared by all,
+* :mod:`~repro.scenarios.world` — the shared harness: :func:`build_world`
+  (runs the ``on_world`` hook) and the background-traffic starters,
+* :mod:`~repro.scenarios.defenses` — the Case C-E defenses and
+  legit-collateral accounting, shared with the portfolio,
 * :mod:`~repro.scenarios.case_a` — Seat Spinning / Fig. 1 / the 5.3 h
-  fingerprint arms race (Section IV-A),
+  fingerprint arms race (Section IV-A), and the evasive Case A preset,
 * :mod:`~repro.scenarios.case_b` — automated vs manual spinning and the
   passenger-detail heuristics (Section IV-B),
 * :mod:`~repro.scenarios.case_c` — advanced SMS Pumping / Table I
@@ -14,7 +17,12 @@
 * :mod:`~repro.scenarios.portfolio` — the adaptive attacker moving
   budget across all channels vs single-case and layered defenses,
 * :mod:`~repro.scenarios.detectors` — detector-family comparison
-  (Section III).
+  (Section III),
+* :mod:`~repro.scenarios.behavioural` — the Section V behavioural stack,
+* :mod:`~repro.scenarios.streaming` — online detection during Case A,
+* :mod:`~repro.scenarios.graph_case` — campaign graph vs session fusion,
+* :mod:`~repro.scenarios.learned` — learned vs hand-tuned detection,
+* :mod:`~repro.scenarios.scale` — the million-visitor background world.
 """
 
 from .behavioural import (

@@ -64,7 +64,7 @@ from ..traffic.evasive_scraper import (
     EvasiveScraperBot,
     EvasiveScraperConfig,
 )
-from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
+from ..traffic.legitimate import LegitimateConfig
 from ..traffic.manual_spinner import ManualSeatSpinner, ManualSpinnerConfig
 from ..traffic.seat_spinner import (
     FIXED_NAME_ROTATING_DOB,
@@ -78,6 +78,7 @@ from .world import (
     WorldConfig,
     build_world,
     default_flight_schedule,
+    start_legit_population,
 )
 
 SPIN_FLIGHT = "BEH-SPIN-TARGET"
@@ -138,13 +139,10 @@ def _build_world(config: BehaviouralConfig, seed: int) -> World:
     world = build_world(
         WorldConfig(seed=seed, flights=flights, hold_ttl=2 * HOUR)
     )
-    LegitimatePopulation(
-        world.loop,
-        world.app,
-        world.rngs.stream("traffic.legit"),
+    start_legit_population(
+        world,
         LegitimateConfig(visitor_rate_per_hour=config.visitor_rate_per_hour),
-        arrival_rng=world.rngs.numpy_stream("traffic.legit.arrivals"),
-    ).start(at=0.0)
+    )
     return world
 
 

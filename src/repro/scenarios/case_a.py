@@ -39,12 +39,9 @@ from ..identity.forge import (
 )
 from ..identity.ip import ResidentialProxyPool
 from ..sim.clock import DAY, HOUR, WEEK
-from ..traffic.legitimate import (
-    AVERAGE_WEEK_NIP_MIXTURE,
-    LegitimateConfig,
-    LegitimatePopulation,
-)
+from ..traffic.legitimate import AVERAGE_WEEK_NIP_MIXTURE, LegitimateConfig
 from ..traffic.seat_spinner import (
+    FIXED_NAME_ROTATING_DOB,
     GIBBERISH,
     SeatSpinnerBot,
     SeatSpinnerConfig,
@@ -55,6 +52,7 @@ from .world import (
     WorldConfig,
     build_world,
     default_flight_schedule,
+    start_legit_population,
 )
 
 TARGET_FLIGHT = "AirlineA-TARGET"
@@ -96,6 +94,49 @@ class CaseAConfig:
     departure_time: float = 3 * WEEK + 2.5 * DAY
     stop_before_departure: float = 2 * DAY
     honeypot_mode: bool = False
+
+
+def evasive_case_a_config(
+    seed: int, ticks_short: bool = False, stealth: bool = False
+) -> CaseAConfig:
+    """A compressed Case A for the graph and learned experiments.
+
+    No mitigation (pure detection); the spinner rotates identity on a
+    timer with the Case B fixed-lead-passenger style, the name side
+    channel the graph links across rotations.  ``stealth`` is the
+    Section IV-A low-NiP attacker (party size 2, faster rotation);
+    ``ticks_short`` compresses the timeline for smoke runs.
+    """
+    params: Dict[str, object] = dict(
+        seed=seed,
+        visitor_rate_per_hour=8.0,
+        target_capacity=160,
+        attacker_target_seats=80,
+        preferred_nip=4,
+        passenger_style=FIXED_NAME_ROTATING_DOB,
+        attack_start=1 * DAY,
+        cap_at=None,
+        controller_enabled=False,
+        rotation_mean_interval=3 * HOUR,
+        departure_time=6 * DAY,
+        stop_before_departure=1 * DAY,
+    )
+    if stealth:
+        params.update(
+            preferred_nip=2,
+            attacker_target_seats=40,
+            rotation_mean_interval=2 * HOUR,
+        )
+    if ticks_short:
+        params.update(
+            visitor_rate_per_hour=5.0,
+            target_capacity=120,
+            attacker_target_seats=30 if stealth else 60,
+            attack_start=0.5 * DAY,
+            departure_time=3 * DAY,
+            stop_before_departure=0.5 * DAY,
+        )
+    return CaseAConfig(**params)
 
 
 @dataclass
@@ -201,12 +242,7 @@ def run_case_a(
     config: Optional[CaseAConfig] = None,
     on_world: Optional[Callable[[World], None]] = None,
 ) -> CaseAResult:
-    """Run the full three-week Case A scenario.
-
-    ``on_world`` runs right after the world is built, before any actor
-    starts — the hook streaming consumers (trace capture, the online
-    detection pipeline) use to attach to ``world.app.log``.
-    """
+    """Run the full three-week Case A scenario."""
     config = config or CaseAConfig()
 
     flights = default_flight_schedule(
@@ -224,23 +260,18 @@ def run_case_a(
             seed=config.seed,
             flights=flights,
             hold_ttl=config.hold_ttl,
-        )
+        ),
+        on_world=on_world,
     )
-    if on_world is not None:
-        on_world(world)
     loop, rngs, app = world.loop, world.rngs, world.app
 
-    population = LegitimatePopulation(
-        loop,
-        app,
-        rngs.stream("traffic.legit"),
+    start_legit_population(
+        world,
         LegitimateConfig(
             visitor_rate_per_hour=config.visitor_rate_per_hour,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.legit.arrivals"),
     )
-    population.start(at=0.0)
 
     proxy_pool = ResidentialProxyPool()
     identity = BotIdentity(

@@ -39,7 +39,7 @@ from ..identity.forge import (
 )
 from ..identity.ip import ResidentialProxyPool
 from ..sim.clock import DAY, HOUR
-from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
+from ..traffic.legitimate import LegitimateConfig
 from ..traffic.manual_spinner import ManualSeatSpinner, ManualSpinnerConfig
 from ..traffic.seat_spinner import (
     FIXED_NAME_ROTATING_DOB,
@@ -53,6 +53,7 @@ from .world import (
     WorldConfig,
     build_world,
     default_flight_schedule,
+    start_legit_population,
 )
 
 AIRLINE_B_FLIGHT = "AirlineB-TARGET"
@@ -139,11 +140,7 @@ def run_case_b(
     config: Optional[CaseBConfig] = None,
     on_world: Optional[Callable[[World], None]] = None,
 ) -> CaseBResult:
-    """Run both campaigns and the passenger-detail analysis.
-
-    ``on_world`` runs right after world construction, before any actor
-    starts (streaming/trace wiring hook).
-    """
+    """Run both campaigns and the passenger-detail analysis."""
     config = config or CaseBConfig()
 
     flights = default_flight_schedule(
@@ -168,23 +165,18 @@ def run_case_b(
     world = build_world(
         WorldConfig(
             seed=config.seed, flights=flights, hold_ttl=config.hold_ttl
-        )
+        ),
+        on_world=on_world,
     )
-    if on_world is not None:
-        on_world(world)
     loop, rngs, app = world.loop, world.rngs, world.app
 
-    population = LegitimatePopulation(
-        loop,
-        app,
-        rngs.stream("traffic.legit"),
+    start_legit_population(
+        world,
         LegitimateConfig(
             visitor_rate_per_hour=config.visitor_rate_per_hour,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.legit.arrivals"),
     )
-    population.start(at=0.0)
 
     automated = SeatSpinnerBot(
         loop,

@@ -48,16 +48,18 @@ from ..identity.ip import ResidentialProxyPool
 from ..sim.clock import DAY, HOUR, WEEK
 from ..sms.countries import all_codes, high_cost_codes, legit_weights
 from ..sms.gateway import BOARDING_PASS
-from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
+from ..traffic.sms_baseline import BaselineSmsConfig
 from ..traffic.sms_pumper import SmsPumperBot, SmsPumperConfig
-from ..web.ratelimit import (
-    RateLimitRule,
-    key_by_booking_ref,
-    key_by_path,
-    key_by_profile,
-)
+from ..web.ratelimit import RateLimitRule, key_by_path
 from ..web.request import BOARDING_PASS_SMS
-from .world import FlightSpec, World, WorldConfig, build_world
+from .defenses import install_sms_ref_limits
+from .world import (
+    FlightSpec,
+    World,
+    WorldConfig,
+    build_world,
+    start_sms_baseline,
+)
 
 SETUP_FLIGHT = "AirlineD-SETUP"
 
@@ -263,11 +265,7 @@ def run_case_c(
     config: Optional[CaseCConfig] = None,
     on_world: Optional[Callable[[World], None]] = None,
 ) -> CaseCResult:
-    """Run the two-week Case C scenario in the chosen variant.
-
-    ``on_world`` runs right after world construction, before any actor
-    starts (streaming/trace wiring hook).
-    """
+    """Run the two-week Case C scenario in the chosen variant."""
     config = config or CaseCConfig()
 
     world = build_world(
@@ -282,10 +280,9 @@ def run_case_c(
                 )
             ],
             colluding_countries=tuple(high_cost_codes()),
-        )
+        ),
+        on_world=on_world,
     )
-    if on_world is not None:
-        on_world(world)
     loop, rngs, app = world.loop, world.rngs, world.app
 
     baseline_weekly = case_c_baseline_weekly(config.baseline_weekly_total)
@@ -294,19 +291,15 @@ def run_case_c(
         code: count / baseline_total
         for code, count in baseline_weekly.items()
     }
-    baseline_traffic = BaselineSmsTraffic(
-        loop,
-        app,
-        rngs.stream("traffic.sms-baseline"),
+    start_sms_baseline(
+        world,
         BaselineSmsConfig(
             sms_per_hour=baseline_total / (WEEK / HOUR),
             otp_fraction=config.otp_fraction,
             country_weights=weights,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.sms-baseline.arrivals"),
     )
-    baseline_traffic.start(at=0.0)
 
     attack_totals = case_c_attack_totals(baseline_weekly)
     attack_total = sum(attack_totals.values())
@@ -361,23 +354,10 @@ def run_case_c(
 
         loop.schedule_in(1 * HOUR, watch_path_limit)
     elif config.variant == PER_REF:
-        app.ratelimits.add_rule(
-            RateLimitRule(
-                rule_id="bp-sms-per-booking-ref",
-                key_fn=key_by_booking_ref,
-                limit=config.per_ref_limit_per_day,
-                window=1 * DAY,
-                paths=(BOARDING_PASS_SMS,),
-            )
-        )
-        app.ratelimits.add_rule(
-            RateLimitRule(
-                rule_id="bp-sms-per-profile",
-                key_fn=key_by_profile,
-                limit=config.per_profile_limit_per_day,
-                window=1 * DAY,
-                paths=(BOARDING_PASS_SMS,),
-            )
+        install_sms_ref_limits(
+            world,
+            config.per_ref_limit_per_day,
+            config.per_profile_limit_per_day,
         )
 
     world.run_until(config.duration)

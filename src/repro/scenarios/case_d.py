@@ -29,7 +29,7 @@ negative — the defense wins by economics, not by perfect blocking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..common import LEGIT, OTP_ABUSER
 from ..core.mitigation.online import OnlineVerdictSink
@@ -48,10 +48,9 @@ from ..sms.gateway import OTP
 from ..sms.rental import NumberRentalService
 from ..stream import NumberReputationAdapter, RecordFeed, StreamReport
 from ..traffic.otp_abuser import OtpAbuseBot, OtpAbuserConfig
-from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from ..web.request import BLOCKED
-from .streaming import build_stream_pipeline
-from .world import World, WorldConfig, build_world
+from ..traffic.sms_baseline import BaselineSmsConfig
+from .defenses import attach_record_defense, legit_collateral
+from .world import World, WorldConfig, build_world, start_sms_baseline
 
 # Protection variants.
 UNPROTECTED = "unprotected"
@@ -139,42 +138,33 @@ def run_case_d(
             seed=config.seed,
             flights=[],
             colluding_countries=tuple(high_cost_codes()),
-        )
+        ),
+        on_world=on_world,
     )
-    if on_world is not None:
-        on_world(world)
     loop, rngs, app = world.loop, world.rngs, world.app
 
-    # -- defense wiring (before any traffic: the pipeline must see the
-    # -- record stream from the first entry) --------------------------
+    # -- defense wiring -----------------------------------------------
     pipeline = None
     sink: Optional[OnlineVerdictSink] = None
     scorer_adapter: Optional[NumberReputationAdapter] = None
     if config.variant == NUMBER_REPUTATION_DEFENSE:
-        sink = OnlineVerdictSink(app)
         scorer_adapter = NumberReputationAdapter(
             feed=RecordFeed(world.sms.records),
             reuse_threshold=config.reuse_threshold,
             reuse_window=config.reuse_window,
         )
-        pipeline = build_stream_pipeline(
-            adapters=[scorer_adapter], sink=sink
-        )
-        pipeline.attach(app.log)
+        pipeline = attach_record_defense(world, [scorer_adapter])
+        sink = pipeline.sink
 
     # -- traffic ------------------------------------------------------
-    baseline = BaselineSmsTraffic(
-        loop,
-        app,
-        rngs.stream("traffic.sms-baseline"),
+    start_sms_baseline(
+        world,
         BaselineSmsConfig(
             sms_per_hour=config.baseline_sms_per_hour,
             otp_fraction=config.otp_fraction,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.sms-baseline.arrivals"),
     )
-    baseline.start(at=0.0)
 
     rental = NumberRentalService(
         cost_per_number=config.rental_cost_per_number
@@ -214,20 +204,11 @@ def run_case_d(
         for r in world.sms.records
         if r.kind == OTP and r.delivered and r.client.actor_class == LEGIT
     )
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted = (
-        set(scorer_adapter.convicted_fingerprints)
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log,
+        scorer_adapter.convicted_fingerprints
         if scorer_adapter is not None
-        else set()
-    )
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+        else (),
     )
 
     ledger = build_attacker_ledger(

@@ -44,19 +44,19 @@ from ..sms.gateway import NOTIFICATION
 from ..sms.numbers import PhoneNumber, sample_number
 from ..stream import DestinationSurgeAdapter, RecordFeed, StreamReport
 from ..traffic.amplifier import AmplifierBot, AmplifierConfig
-from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from ..web.ratelimit import RateLimitRule, key_by_destination
-from ..web.request import BLOCKED, NOTIFY
-from .streaming import build_stream_pipeline
-from .world import World, WorldConfig, build_world
+from ..traffic.sms_baseline import BaselineSmsConfig
+from .defenses import (
+    attach_record_defense,
+    legit_collateral,
+    schedule_destination_cap,
+)
+from .world import World, WorldConfig, build_world, start_sms_baseline
 
 # Protection variants.
 UNPROTECTED = "unprotected"
 DESTINATION_SURGE_DEFENSE = "destination-surge"
 
 _VARIANTS = (UNPROTECTED, DESTINATION_SURGE_DEFENSE)
-
-DESTINATION_CAP_RULE = "notify-per-destination"
 
 
 @dataclass
@@ -137,9 +137,9 @@ def run_case_e(
     """Run the amplification flood in the chosen variant."""
     config = config or CaseEConfig()
 
-    world = build_world(WorldConfig(seed=config.seed, flights=[]))
-    if on_world is not None:
-        on_world(world)
+    world = build_world(
+        WorldConfig(seed=config.seed, flights=[]), on_world=on_world
+    )
     loop, rngs, app = world.loop, world.rngs, world.app
 
     victim = sample_number(
@@ -152,50 +152,30 @@ def run_case_e(
     surge_adapter: Optional[DestinationSurgeAdapter] = None
     cap_installed_at: List[float] = []
     if config.variant == DESTINATION_SURGE_DEFENSE:
-        sink = OnlineVerdictSink(app)
         surge_adapter = DestinationSurgeAdapter(
             feed=RecordFeed(world.sms.records),
             window=config.surge_window,
             flood_threshold=config.flood_threshold,
         )
-        pipeline = build_stream_pipeline(
-            adapters=[surge_adapter], sink=sink
+        pipeline = attach_record_defense(world, [surge_adapter])
+        sink = pipeline.sink
+        cap_installed_at = schedule_destination_cap(
+            world,
+            surge_adapter.scorer,
+            config.destination_cap,
+            config.response_poll,
         )
-        pipeline.attach(app.log)
-
-        def respond_to_surges() -> None:
-            # The operational loop: sender blocks come from the sink
-            # instantly; the destination cap is the responder's call.
-            if surge_adapter.scorer.surging_destinations:
-                app.ratelimits.add_rule(
-                    RateLimitRule(
-                        rule_id=DESTINATION_CAP_RULE,
-                        key_fn=key_by_destination,
-                        limit=config.destination_cap,
-                        window=1 * DAY,
-                        paths=(NOTIFY,),
-                    )
-                )
-                cap_installed_at.append(loop.now)
-                return  # installed; stop polling
-            loop.schedule_in(config.response_poll, respond_to_surges)
-
-        loop.schedule_in(config.response_poll, respond_to_surges)
 
     # -- traffic ------------------------------------------------------
-    baseline = BaselineSmsTraffic(
-        loop,
-        app,
-        rngs.stream("traffic.sms-baseline"),
+    start_sms_baseline(
+        world,
         BaselineSmsConfig(
             sms_per_hour=config.baseline_sms_per_hour,
             otp_fraction=config.otp_fraction,
             notification_fraction=config.notification_fraction,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.sms-baseline.arrivals"),
     )
-    baseline.start(at=0.0)
 
     proxy_pool = ResidentialProxyPool()
     bot = AmplifierBot(
@@ -235,20 +215,11 @@ def run_case_e(
         and r.delivered
         and r.client.actor_class == LEGIT
     )
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted = (
-        set(surge_adapter.convicted_fingerprints)
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log,
+        surge_adapter.convicted_fingerprints
         if surge_adapter is not None
-        else set()
-    )
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+        else (),
     )
 
     # Victim numbers are not attacker-controlled, so no carrier

@@ -61,7 +61,7 @@ from ..ml.data import build_dataset_columnar
 from ..ml.detector import LearnedSessionDetector
 from ..ml.train import TrainConfig, train_model
 from ..sim.clock import DAY, HOUR
-from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
+from ..traffic.legitimate import LegitimateConfig
 from ..traffic.manual_spinner import ManualSeatSpinner, ManualSpinnerConfig
 from ..traffic.scraper import ScraperBot, ScraperConfig
 from ..traffic.seat_spinner import (
@@ -69,7 +69,7 @@ from ..traffic.seat_spinner import (
     SeatSpinnerBot,
     SeatSpinnerConfig,
 )
-from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
+from ..traffic.sms_baseline import BaselineSmsConfig
 from ..traffic.sms_pumper import SmsPumperBot, SmsPumperConfig
 from ..web.logs import Session
 from .world import (
@@ -78,6 +78,8 @@ from .world import (
     WorldConfig,
     build_world,
     default_flight_schedule,
+    start_legit_population,
+    start_sms_baseline,
 )
 
 SPINNER_FLIGHT = "MIX-SPIN-TARGET"
@@ -143,21 +145,13 @@ def _build_mixed_world(
     )
     loop, rngs, app = world.loop, world.rngs, world.app
 
-    LegitimatePopulation(
-        loop,
-        app,
-        rngs.stream("traffic.legit"),
+    start_legit_population(
+        world,
         LegitimateConfig(visitor_rate_per_hour=config.visitor_rate_per_hour),
-        arrival_rng=rngs.numpy_stream("traffic.legit.arrivals"),
-    ).start(at=0.0)
-
-    BaselineSmsTraffic(
-        loop,
-        app,
-        rngs.stream("traffic.sms-baseline"),
-        BaselineSmsConfig(sms_per_hour=config.baseline_sms_per_hour),
-        arrival_rng=rngs.numpy_stream("traffic.sms-baseline.arrivals"),
-    ).start(at=0.0)
+    )
+    start_sms_baseline(
+        world, BaselineSmsConfig(sms_per_hour=config.baseline_sms_per_hour)
+    )
 
     ScraperBot(
         loop,

@@ -45,7 +45,6 @@ from ..core.detection.volume import VolumeDetector
 from ..graph.campaigns import CAMPAIGN_DETECTOR, Campaign
 from ..graph.detector import GraphDetector, GraphDetectorConfig
 from ..sim.clock import DAY, HOUR
-from ..traffic.seat_spinner import FIXED_NAME_ROTATING_DOB
 from ..web.logs import Session
 from .world import World
 
@@ -124,42 +123,6 @@ class GraphCaseResult:
         ]
 
 
-def _case_a_config(config: GraphCaseConfig):
-    """A compressed Case A tuned for campaign detection, not Fig. 1.
-
-    Mitigation is disabled (no controller, no NiP cap) so the arms
-    compare pure detection; the spinner rotates on a timer instead,
-    and uses the Case B fixed-lead-passenger style so the graph has
-    the paper's passenger-name side channel to link across rotations.
-    """
-    from .case_a import CaseAConfig
-
-    params: Dict[str, object] = dict(
-        seed=config.seed,
-        visitor_rate_per_hour=8.0,
-        target_capacity=160,
-        attacker_target_seats=80,
-        preferred_nip=4,
-        passenger_style=FIXED_NAME_ROTATING_DOB,
-        attack_start=1 * DAY,
-        cap_at=None,
-        controller_enabled=False,
-        rotation_mean_interval=3 * HOUR,
-        departure_time=6 * DAY,
-        stop_before_departure=1 * DAY,
-    )
-    if config.ticks_short:
-        params.update(
-            visitor_rate_per_hour=5.0,
-            target_capacity=120,
-            attacker_target_seats=60,
-            attack_start=0.5 * DAY,
-            departure_time=3 * DAY,
-            stop_before_departure=0.5 * DAY,
-        )
-    return CaseAConfig(**params)
-
-
 def _case_c_config(config: GraphCaseConfig):
     """A compressed unprotected Case C (clean pumping measurement)."""
     from .case_c import CaseCConfig
@@ -182,9 +145,9 @@ def _case_c_config(config: GraphCaseConfig):
 def _run_case(config: GraphCaseConfig) -> Tuple[object, World]:
     """Stand up the configured case study; return (case config, world)."""
     if config.case == CASE_A:
-        from .case_a import run_case_a
+        from .case_a import evasive_case_a_config, run_case_a
 
-        case_config = _case_a_config(config)
+        case_config = evasive_case_a_config(config.seed, config.ticks_short)
         return case_config, run_case_a(case_config).world
     from .case_c import run_case_c
 

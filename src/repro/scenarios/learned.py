@@ -27,7 +27,7 @@ an equal-or-lower false-positive rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.evaluation import (
@@ -42,12 +42,10 @@ from ..ml.data import Dataset
 from ..ml.detector import LearnedSessionDetector
 from ..ml.store import FeatureStore, FeatureStoreAdapter
 from ..ml.train import TrainConfig, TrainResult, train_model
-from ..sim.clock import DAY, HOUR
 from ..sim.rng import derive_seed
 from ..stream.pipeline import StreamPipeline
-from ..traffic.seat_spinner import FIXED_NAME_ROTATING_DOB
 from ..web.logs import Session
-from .case_a import CaseAConfig, run_case_a
+from .case_a import CaseAConfig, evasive_case_a_config, run_case_a
 from .graph_case import session_arm
 from .world import World
 
@@ -85,50 +83,6 @@ class LearnedCaseConfig:
             )
 
 
-def variant_case_config(
-    variant: str, seed: int, ticks_short: bool
-) -> CaseAConfig:
-    """The evasive Case A world for one variant.
-
-    Both variants disable mitigation (pure-detection comparison, like
-    the graph experiment) and rotate identity; stealth additionally
-    drops the party size to 2 so the NiP footprint vanishes into the
-    legitimate mixture.
-    """
-    params: Dict[str, object] = dict(
-        seed=seed,
-        visitor_rate_per_hour=8.0,
-        target_capacity=160,
-        attacker_target_seats=80,
-        preferred_nip=4,
-        passenger_style=FIXED_NAME_ROTATING_DOB,
-        attack_start=1 * DAY,
-        cap_at=None,
-        controller_enabled=False,
-        rotation_mean_interval=3 * HOUR,
-        departure_time=6 * DAY,
-        stop_before_departure=1 * DAY,
-    )
-    if variant == STEALTH:
-        params.update(
-            preferred_nip=2,
-            attacker_target_seats=40,
-            rotation_mean_interval=2 * HOUR,
-        )
-    if ticks_short:
-        params.update(
-            visitor_rate_per_hour=5.0,
-            target_capacity=120,
-            attacker_target_seats=(
-                30 if variant == STEALTH else 60
-            ),
-            attack_start=0.5 * DAY,
-            departure_time=3 * DAY,
-            stop_before_departure=0.5 * DAY,
-        )
-    return CaseAConfig(**params)
-
-
 def capture_training_store(
     case_config: CaseAConfig, store: Optional[FeatureStore] = None
 ) -> FeatureStore:
@@ -152,8 +106,10 @@ def build_training_store(config: LearnedCaseConfig) -> FeatureStore:
             config.seed, f"ml.train-world.{config.variant}.{index}"
         )
         capture_training_store(
-            variant_case_config(
-                config.variant, world_seed, config.ticks_short
+            evasive_case_a_config(
+                world_seed,
+                config.ticks_short,
+                stealth=config.variant == STEALTH,
             ),
             store=store,
         )
@@ -226,8 +182,8 @@ def run_learned_case(
         ),
     )
 
-    eval_config = variant_case_config(
-        config.variant, config.seed, config.ticks_short
+    eval_config = evasive_case_a_config(
+        config.seed, config.ticks_short, stealth=config.variant == STEALTH
     )
     world = run_case_a(eval_config).world
     index = SessionIndex.from_log(world.app.log)

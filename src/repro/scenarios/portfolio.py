@@ -37,7 +37,6 @@ from ..adversary import (
     SeatSpinChannel,
     SmsPumpChannel,
 )
-from ..common import LEGIT
 from ..core.mitigation.online import OnlineVerdictSink
 from ..sim.clock import DAY, HOUR, MINUTE
 from ..sms.countries import high_cost_codes
@@ -48,16 +47,21 @@ from ..stream import (
     NumberReputationAdapter,
     RecordFeed,
 )
-from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from ..web.ratelimit import (
-    RateLimitRule,
-    key_by_booking_ref,
-    key_by_destination,
-    key_by_profile,
+from ..traffic.sms_baseline import BaselineSmsConfig
+from .defenses import (
+    attach_record_defense,
+    install_sms_ref_limits,
+    legit_collateral,
+    schedule_destination_cap,
 )
-from ..web.request import BLOCKED, BOARDING_PASS_SMS, NOTIFY
 from .streaming import build_stream_pipeline
-from .world import FlightSpec, World, WorldConfig, build_world
+from .world import (
+    FlightSpec,
+    World,
+    WorldConfig,
+    build_world,
+    start_sms_baseline,
+)
 
 SPIN_FLIGHT = "PORT-SPIN"
 SETUP_FLIGHT = "PORT-SETUP"
@@ -209,10 +213,9 @@ def run_portfolio(
                 ),
             ],
             colluding_countries=tuple(high_cost_codes()),
-        )
+        ),
+        on_world=on_world,
     )
-    if on_world is not None:
-        on_world(world)
     loop, rngs, app = world.loop, world.rngs, world.app
 
     # -- defense wiring -----------------------------------------------
@@ -238,83 +241,48 @@ def run_portfolio(
         pipelines.append(hold_pipeline)
 
     if defense in (DEFENSE_CASE_C, DEFENSE_ALL):
-        app.ratelimits.add_rule(
-            RateLimitRule(
-                rule_id="bp-sms-per-booking-ref",
-                key_fn=key_by_booking_ref,
-                limit=config.per_ref_limit_per_day,
-                window=1 * DAY,
-                paths=(BOARDING_PASS_SMS,),
-            )
-        )
-        app.ratelimits.add_rule(
-            RateLimitRule(
-                rule_id="bp-sms-per-profile",
-                key_fn=key_by_profile,
-                limit=config.per_profile_limit_per_day,
-                window=1 * DAY,
-                paths=(BOARDING_PASS_SMS,),
-            )
+        install_sms_ref_limits(
+            world,
+            config.per_ref_limit_per_day,
+            config.per_profile_limit_per_day,
         )
 
-    surge_adapter: Optional[DestinationSurgeAdapter] = None
-    if defense in (DEFENSE_CASE_D, DEFENSE_CASE_E, DEFENSE_ALL):
-        adapters = []
-        if defense in (DEFENSE_CASE_D, DEFENSE_ALL):
-            adapters.append(
-                NumberReputationAdapter(
-                    feed=RecordFeed(world.sms.records),
-                    reuse_threshold=config.reuse_threshold,
-                    reuse_window=config.reuse_window,
-                )
-            )
-        if defense in (DEFENSE_CASE_E, DEFENSE_ALL):
-            surge_adapter = DestinationSurgeAdapter(
+    if defense in (DEFENSE_CASE_D, DEFENSE_ALL):
+        record_adapters.append(
+            NumberReputationAdapter(
                 feed=RecordFeed(world.sms.records),
-                window=config.surge_window,
-                flood_threshold=config.flood_threshold,
+                reuse_threshold=config.reuse_threshold,
+                reuse_window=config.reuse_window,
             )
-            adapters.append(surge_adapter)
-        record_adapters = adapters
-        record_pipeline = build_stream_pipeline(
-            adapters=adapters, sink=OnlineVerdictSink(app)
         )
-        record_pipeline.attach(app.log)
-        pipelines.append(record_pipeline)
-
+    surge_adapter: Optional[DestinationSurgeAdapter] = None
+    if defense in (DEFENSE_CASE_E, DEFENSE_ALL):
+        surge_adapter = DestinationSurgeAdapter(
+            feed=RecordFeed(world.sms.records),
+            window=config.surge_window,
+            flood_threshold=config.flood_threshold,
+        )
+        record_adapters.append(surge_adapter)
+    if record_adapters:
+        pipelines.append(attach_record_defense(world, record_adapters))
     if surge_adapter is not None:
-        scorer = surge_adapter.scorer
-
-        def respond_to_surges() -> None:
-            if scorer.surging_destinations:
-                app.ratelimits.add_rule(
-                    RateLimitRule(
-                        rule_id="notify-per-destination",
-                        key_fn=key_by_destination,
-                        limit=config.destination_cap,
-                        window=1 * DAY,
-                        paths=(NOTIFY,),
-                    )
-                )
-                return
-            loop.schedule_in(config.response_poll, respond_to_surges)
-
-        loop.schedule_in(config.response_poll, respond_to_surges)
+        schedule_destination_cap(
+            world,
+            surge_adapter.scorer,
+            config.destination_cap,
+            config.response_poll,
+        )
 
     # -- legitimate background ----------------------------------------
-    baseline = BaselineSmsTraffic(
-        loop,
-        app,
-        rngs.stream("traffic.sms-baseline"),
+    start_sms_baseline(
+        world,
         BaselineSmsConfig(
             sms_per_hour=config.baseline_sms_per_hour,
             otp_fraction=config.otp_fraction,
             notification_fraction=config.notification_fraction,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=rngs.numpy_stream("traffic.sms-baseline.arrivals"),
     )
-    baseline.start(at=0.0)
 
     # -- the adversary ------------------------------------------------
     victim = sample_number(
@@ -361,18 +329,13 @@ def run_portfolio(
         pipeline.finish()
 
     # -- harvest ------------------------------------------------------
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted: set = set()
-    for adapter in record_adapters:
-        convicted.update(adapter.convicted_fingerprints)
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log,
+        [
+            fingerprint
+            for adapter in record_adapters
+            for fingerprint in adapter.convicted_fingerprints
+        ],
     )
 
     return PortfolioResult(

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..sim.clock import DAY, HOUR
-from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
-from .world import FlightSpec, WorldConfig, build_world
+from ..traffic.legitimate import LegitimateConfig
+from .world import (
+    FlightSpec,
+    WorldConfig,
+    build_world,
+    start_legit_population,
+)
 
 #: Drain margin after the arrival window: lets in-flight funnels (pay
 #: delays, boarding passes) finish so the log captures whole visits.
@@ -83,17 +88,13 @@ def run_scale(config: ScaleConfig) -> ScaleResult:
             hold_ttl=config.hold_ttl,
         )
     )
-    population = LegitimatePopulation(
-        world.loop,
-        world.app,
-        world.rngs.stream("traffic.legit"),
+    population = start_legit_population(
+        world,
         LegitimateConfig(
             visitor_rate_per_hour=config.visitor_rate_per_hour,
             arrival_block_size=config.arrival_block_size,
         ),
-        arrival_rng=world.rngs.numpy_stream("traffic.legit.arrivals"),
     )
-    population.start(at=0.0)
     world.run_until(config.duration)
     population.stop()
     world.run_until(config.duration + DRAIN)

@@ -3,13 +3,15 @@
 Every scenario and benchmark starts from :func:`build_world`, which
 assembles the substrates around a single deterministic event loop:
 reservation system, SMS gateway + telco network, and the web
-application edge.
+application edge.  :func:`start_legit_population` and
+:func:`start_sms_baseline` start the two background-traffic processes
+on their fixed RNG stream names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from ..booking.flight import Flight
 from ..booking.reservation import ReservationSystem
@@ -19,6 +21,8 @@ from ..sim.metrics import MetricsRecorder
 from ..sim.rng import RngRegistry
 from ..sms.gateway import SmsGateway
 from ..sms.telco import LocalCarrier, TelcoNetwork
+from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
+from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
 from ..web.application import WebApplication
 
 
@@ -89,8 +93,17 @@ class World:
         self.reservations.expire_due()
 
 
-def build_world(config: WorldConfig) -> World:
-    """Assemble all substrates around one event loop."""
+def build_world(
+    config: WorldConfig,
+    on_world: Optional[Callable[[World], None]] = None,
+) -> World:
+    """Assemble all substrates around one event loop.
+
+    ``on_world`` runs on the finished world before any actor starts —
+    the hook streaming consumers (trace capture, the online detection
+    pipeline, profilers) use to attach to ``world.app.log``.  Every
+    ``run_case_*`` passes its own ``on_world`` straight through.
+    """
     loop = EventLoop()
     rngs = RngRegistry(config.seed)
     metrics = MetricsRecorder()
@@ -141,7 +154,7 @@ def build_world(config: WorldConfig) -> World:
         rngs.stream("web.app"),
         metrics=metrics,
     )
-    return World(
+    world = World(
         loop=loop,
         rngs=rngs,
         metrics=metrics,
@@ -150,3 +163,38 @@ def build_world(config: WorldConfig) -> World:
         sms=sms,
         app=app,
     )
+    if on_world is not None:
+        on_world(world)
+    return world
+
+
+def start_legit_population(
+    world: World, config: LegitimateConfig
+) -> LegitimatePopulation:
+    """Legitimate visitors on the ``traffic.legit[.arrivals]`` streams,
+    started at t=0."""
+    population = LegitimatePopulation(
+        world.loop,
+        world.app,
+        world.rngs.stream("traffic.legit"),
+        config,
+        arrival_rng=world.rngs.numpy_stream("traffic.legit.arrivals"),
+    )
+    population.start(at=0.0)
+    return population
+
+
+def start_sms_baseline(
+    world: World, config: BaselineSmsConfig
+) -> BaselineSmsTraffic:
+    """Legitimate SMS traffic on the ``traffic.sms-baseline[.arrivals]``
+    streams, started at t=0."""
+    traffic = BaselineSmsTraffic(
+        world.loop,
+        world.app,
+        world.rngs.stream("traffic.sms-baseline"),
+        config,
+        arrival_rng=world.rngs.numpy_stream("traffic.sms-baseline.arrivals"),
+    )
+    traffic.start(at=0.0)
+    return traffic

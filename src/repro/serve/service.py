@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.detection.verdict import Verdict
 from ..graph.campaigns import Campaign
-from ..graph.detector import GraphDetectorConfig
 from ..graph.stream import GraphStreamAdapter, RecordFeed
 from ..scenarios.streaming import build_stream_pipeline
 from ..stream.pipeline import StreamPipeline, StreamReport
@@ -90,9 +89,7 @@ class CampaignLog:
 
 
 def build_core(
-    refresh_every: Optional[int],
-    graph_config: Optional[GraphDetectorConfig],
-    evict_every: int,
+    refresh_every: Optional[int], evict_every: int
 ) -> Dict[str, object]:
     """Fresh detection core: pipeline + graph adapter + record sinks.
 
@@ -105,7 +102,6 @@ def build_core(
     campaigns = CampaignLog()
     pipeline = build_stream_pipeline(sink=sink, evict_every=evict_every)
     graph = GraphStreamAdapter(
-        config=graph_config,
         refresh_every=refresh_every,
         campaign_sink=campaigns,
         seed_feeds=[
@@ -152,7 +148,6 @@ class DetectionService:
         store: StateStore,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         refresh_every: Optional[int] = DEFAULT_REFRESH_EVERY,
-        graph_config: Optional[GraphDetectorConfig] = None,
         evict_every: int = 256,
         obs: Optional[object] = None,
     ) -> None:
@@ -167,9 +162,7 @@ class DetectionService:
         snapshot = store.load_snapshot()
         if snapshot is None:
             self._seq = 0
-            self._core = build_core(
-                refresh_every, graph_config, evict_every
-            )
+            self._core = build_core(refresh_every, evict_every)
             self.restored = False
         else:
             self._seq, self._core = snapshot

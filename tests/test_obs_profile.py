@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+import repro.runner
+from repro.cli import build_parser, main
 from repro.obs import RunContext
 from repro.obs.profile import (
     PROFILED_CASES,
@@ -241,3 +242,23 @@ class TestProfileCli:
     def test_profile_command_rejects_unknown_case(self):
         with pytest.raises(SystemExit):
             main(["profile", "case-z"])
+
+    def test_profile_case_is_validated_by_the_parser(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "case-z"])
+
+    def test_profile_passes_shards_to_the_runner(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = {}
+
+        def fake_run_sweep(spec, **kwargs):
+            seen.update(kwargs, scenario=spec.scenario)
+            raise Stop
+
+        monkeypatch.setattr(repro.runner, "run_sweep", fake_run_sweep)
+        with pytest.raises(Stop):
+            main(["profile", "case-a", "--reps", "2", "--shards", "2"])
+        assert seen["scenario"] == "profile-case-a"
+        assert seen["shards"] == 2
