@@ -144,7 +144,7 @@ def test_serve_replay_throughput(trace, tmp_path):
 
     # Comparator: the identical detection core (pipeline + graph
     # adapter at the service's refresh cadence), zero persistence.
-    core = build_core(DEFAULT_REFRESH_EVERY, None, 256)
+    core = build_core(DEFAULT_REFRESH_EVERY, 256)
     _, direct_stats = replay_trace(trace_path, core["pipeline"])
     direct_rate = direct_stats.events_per_second
 
