@@ -41,22 +41,17 @@ from kernel_workloads import peak_rss_mb, quick_mode
 
 from repro.common import ClientRef
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import feature_matrix
 from repro.core.detection.fusion import FusionDetector
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.graph.builder import EntityGraph
 from repro.graph.campaigns import campaign_verdicts, extract_campaigns
 from repro.graph.entities import EntityId
-from repro.graph.propagation import (
-    compile_graph,
-    propagate,
-    propagate_dict,
-)
+from repro.graph.propagation import compile_graph, propagate
 from repro.obs.profile import PROFILED_CASES, short_overrides
 from repro.runner import SweepSpec, run_sweep
 from repro.scenarios.graph_case import GraphCaseConfig, run_graph_case
-from repro.web.logs import COLUMNAR, WebLog, sessionize
+from repro.web.logs import COLUMNAR, WebLog
 from repro.web.request import (
     BOARDING_PASS_SMS,
     FLIGHT_DETAILS,
@@ -66,6 +61,7 @@ from repro.web.request import (
     SEARCH,
     TRAP,
 )
+from tests.specs import feature_matrix, propagate_dict, sessionize
 
 
 def _scaled(full: int, quick: int) -> int:

@@ -46,7 +46,8 @@ from repro.serve.state import StateStore
 from repro.trace import TraceWriter, replay_trace
 from repro.web.logs import LogEntry
 
-#: Server throughput floor relative to bare replay (the acceptance pin).
+#: Server throughput floor relative to direct same-core replay (the
+#: acceptance pin).
 MIN_SERVER_FRACTION = 0.5
 
 WAVES = 20 if quick_mode() else 200

@@ -164,17 +164,3 @@ def extract_features(session: Session) -> SessionFeatures:
         error_fraction=errors / count,
         trap_hits=by_path[TRAP],
     )
-
-
-def feature_matrix(sessions: List[Session]) -> np.ndarray:
-    """Stack per-session vectors into an ``(n, d)`` matrix.
-
-    The output is preallocated and filled row by row — ``np.vstack``
-    over n small vectors allocated the list, the vectors *and* the
-    result before copying everything once more.
-    """
-    matrix = np.zeros((len(sessions), len(FEATURE_NAMES)))
-    for row, session in enumerate(sessions):
-        matrix[row] = extract_features(session).vector()
-    return matrix
-

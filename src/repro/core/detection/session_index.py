@@ -6,8 +6,8 @@ the *ingest* side columnar; this module makes the *read* side match:
 (:meth:`repro.web.logs.WebLog.columns`) and computes, without ever
 materialising a ``LogEntry`` or ``Session``,
 
-* the exact session partition :func:`repro.web.logs.sessionize`
-  produces — same session ids, same member entries, same output
+* the exact session partition the ``sessionize`` spec
+  (``tests/specs.py``) produces — same session ids, same member entries, same output
   order — via a stable sort on the interned ``(ip, fingerprint)``
   key instead of a per-entry Python loop;
 * the full 16-column :data:`~repro.core.detection.features.
@@ -20,8 +20,7 @@ This index is the only batch path into session detection: every
 session family (volume, k-means, logistic, learned, fingerprint rules)
 has exactly one batch entry point, ``judge_index(index)``, and the
 streaming families one streaming entry point, ``judge(session)``.
-:func:`~repro.web.logs.sessionize` and
-:func:`~repro.core.detection.features.feature_matrix` stay as the
+``sessionize`` and ``feature_matrix`` in ``tests/specs.py`` are the
 executable spec: everything here is **bit-identical** to them, which
 the equivalence suites pin.  The one numerical subtlety: every float
 segment reduction uses ``np.bincount``, whose weight accumulation is

@@ -27,7 +27,11 @@ itself grows like the log it summarises.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from math import isnan, nan
 from typing import (
     Dict,
     List,
@@ -37,6 +41,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from ..booking.reservation import BookingRecord
 from ..sms.gateway import SmsRecord
@@ -48,9 +54,11 @@ from .entities import (
     fingerprint_node,
     flight_node,
     ip_node,
+    join_ids,
     name_key_node,
     phone_node,
     session_node,
+    split_ids,
     subnet_node,
 )
 
@@ -73,22 +81,30 @@ class EntityGraph:
     """Weighted undirected multipartite graph with node timestamps.
 
     Nodes get int ids in insertion order (a node's position in
-    :meth:`nodes`).  The ``(lo_id, hi_id) -> weight`` edge map is the
-    only structure; :func:`~repro.graph.propagation.compile_graph`
-    derives the CSR form from it.
+    :meth:`nodes`); all other state is flat append-only arrays, so
+    compiles gather with NumPy and checkpoints pickle memcpy blocks.
+    Spans are two ``array('d')`` by node id (NaN = unseen).  Each
+    undirected edge has one slot — ``(lo_id, hi_id)`` in an
+    ``array('q')``, weight in an ``array('d')`` — found through a
+    pair -> slot dict; a higher weight overwrites it in place.
     """
 
     def __init__(self) -> None:
         self._ids: Dict[EntityId, int] = {}
         self._nodes: List[EntityId] = []
-        self._edges: Dict[Tuple[int, int], float] = {}
-        self._first_seen: Dict[EntityId, float] = {}
-        self._last_seen: Dict[EntityId, float] = {}
+        self._first_seen = array("d")
+        self._last_seen = array("d")
+        self._ends = array("q")
+        self._weights = array("d")
+        self._slots: Dict[Tuple[int, int], int] = {}
         #: Structural version stamp: bumped on every node insertion,
         #: edge insertion and edge weight raise (never by :meth:`touch`
         #: — timestamps are not structure); a stale
         #: :class:`~repro.graph.propagation.CompiledGraph` shows by it.
         self.version = 0
+        #: :meth:`sorted_nodes` cache (left out of the pickled state).
+        self._sorted: List[EntityId] = []
+        self._order = np.zeros(0, dtype=np.int64)
 
     # -- construction --------------------------------------------------------
 
@@ -101,19 +117,21 @@ class EntityGraph:
             node_id = len(self._nodes)
             self._ids[node] = node_id
             self._nodes.append(node)
+            self._first_seen.append(nan)
+            self._last_seen.append(nan)
             self.version += 1
+        # NaN compares false, so an unseen span always takes the time.
         if time is not None:
-            self.touch(node, time)
+            if not self._first_seen[node_id] <= time:
+                self._first_seen[node_id] = time
+            if not self._last_seen[node_id] >= time:
+                self._last_seen[node_id] = time
         return node_id
 
     def touch(self, node: EntityId, time: float) -> None:
-        """Extend the node's observed [first_seen, last_seen] span."""
-        first = self._first_seen.get(node)
-        if first is None or time < first:
-            self._first_seen[node] = time
-        last = self._last_seen.get(node)
-        if last is None or time > last:
-            self._last_seen[node] = time
+        """Extend the node's observed [first_seen, last_seen] span
+        (adding the node if it is new)."""
+        self.add_node(node, time)
 
     def add_edge(
         self,
@@ -130,9 +148,14 @@ class EntityGraph:
         i = self.add_node(a, time)
         j = self.add_node(b, time)
         key = (i, j) if i < j else (j, i)
-        existing = self._edges.get(key)
-        if existing is None or weight > existing:
-            self._edges[key] = weight
+        slot = self._slots.get(key)
+        if slot is None:
+            self._slots[key] = len(self._weights)
+            self._ends.extend(key)
+            self._weights.append(weight)
+            self.version += 1
+        elif weight > self._weights[slot]:
+            self._weights[slot] = weight
             self.version += 1
 
     # -- reads ---------------------------------------------------------------
@@ -143,13 +166,31 @@ class EntityGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._weights)
 
     @property
-    def edge_map(self) -> Mapping[Tuple[int, int], float]:
-        """The live ``(lo_id, hi_id) -> weight`` map — read-only by
-        contract (ids index :meth:`nodes`)."""
-        return self._edges
+    def ids(self) -> Mapping[EntityId, int]:
+        """The live node -> int id map — read-only by contract."""
+        return self._ids
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the edge slots: ``(lo_id, hi_id)`` rows and weights."""
+        ends = np.array(self._ends, dtype=np.int64).reshape(-1, 2)
+        return ends, np.array(self._weights, dtype=np.float64)
+
+    def sorted_nodes(self) -> Tuple[List[EntityId], np.ndarray]:
+        """The nodes in sorted-id order, and their ids in that order.
+
+        Sorts only the nodes added since the last call and places them
+        by binary search.  Callers may keep both (new objects per call
+        that adds nodes)."""
+        nodes, old = self._nodes, self._sorted
+        if len(old) < len(nodes):
+            fresh = sorted(range(len(old), len(nodes)), key=nodes.__getitem__)
+            at = [bisect_left(old, nodes[i]) for i in fresh]
+            self._order = np.insert(self._order, at, fresh)
+            self._sorted = list(map(nodes.__getitem__, self._order.tolist()))
+        return self._sorted, self._order
 
     def __contains__(self, node: EntityId) -> bool:
         return node in self._ids
@@ -161,19 +202,28 @@ class EntityGraph:
         return [node for node in self._nodes if node.kind == kind]
 
     def neighbors(self, node: EntityId) -> Dict[EntityId, float]:
-        """Neighbours and edge weights (an O(edges) edge-map scan)."""
+        """Neighbours and edge weights (an O(edges) slot-map scan)."""
         i = self._ids.get(node)
+        nodes, weights = self._nodes, self._weights
         return {
-            self._nodes[lo if hi == i else hi]: weight
-            for (lo, hi), weight in self._edges.items()
+            nodes[lo if hi == i else hi]: weights[slot]
+            for (lo, hi), slot in self._slots.items()
             if i in (lo, hi)
         }
 
     def first_seen(self, node: EntityId) -> Optional[float]:
-        return self._first_seen.get(node)
+        return self._seen(self._first_seen, node)
 
     def last_seen(self, node: EntityId) -> Optional[float]:
-        return self._last_seen.get(node)
+        return self._seen(self._last_seen, node)
+
+    def _seen(self, times: array, node: EntityId) -> Optional[float]:
+        i = self._ids.get(node)
+        return None if i is None or isnan(times[i]) else times[i]
+
+    def latest_seen(self) -> float:
+        """The largest last-seen time of any node (0.0 if none)."""
+        return max(filterfalse(isnan, self._last_seen), default=0.0)
 
     def kind_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -183,11 +233,13 @@ class EntityGraph:
 
     def edges(self) -> List[Tuple[EntityId, EntityId, float]]:
         """Every edge once, endpoints ordered, sorted."""
-        nodes = self._nodes
+        nodes, weights = self._nodes, self._weights
         found = []
-        for (i, j), weight in self._edges.items():
+        for (i, j), slot in self._slots.items():
             a, b = nodes[i], nodes[j]
-            found.append((a, b, weight) if a < b else (b, a, weight))
+            found.append(
+                (a, b, weights[slot]) if a < b else (b, a, weights[slot])
+            )
         return sorted(found)
 
     def snapshot(self, include_spans: bool = False) -> Dict[str, object]:
@@ -211,10 +263,13 @@ class EntityGraph:
         if include_spans:
             # A sorted triple list, not a node-keyed dict: tuple keys
             # would not survive the JSON result cache.
-            view["spans"] = [
-                (node, self._first_seen[node], self._last_seen[node])
-                for node in sorted(self._first_seen)
-            ]
+            view["spans"] = sorted(
+                (node, first, last)
+                for node, first, last in zip(
+                    self._nodes, self._first_seen, self._last_seen
+                )
+                if not isnan(first)
+            )
         return view
 
     @classmethod
@@ -242,6 +297,26 @@ class EntityGraph:
             node = EntityId(*raw)
             self.touch(node, float(first))
             self.touch(node, float(last))
+
+    # -- pickling ------------------------------------------------------------
+
+    def __getstate__(self) -> Tuple[object, ...]:
+        """Node kinds and values as two ``str`` lists plus the arrays;
+        the id and slot maps and the sort cache are rebuilt on load."""
+        return (
+            split_ids(self._nodes), self._first_seen, self._last_seen,
+            self._ends, self._weights, self.version,
+        )
+
+    def __setstate__(self, state: Tuple[object, ...]) -> None:
+        self.__init__()
+        names, first, last, ends, weights, self.version = state
+        self._nodes = nodes = join_ids(*names)
+        self._ids = dict(zip(nodes, range(len(nodes))))
+        self._first_seen, self._last_seen = first, last
+        self._ends, self._weights = ends, weights
+        pairs = zip(ends[0::2], ends[1::2])
+        self._slots = dict(zip(pairs, range(len(weights))))
 
 
 @dataclass

@@ -40,20 +40,13 @@ other detector family's output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.detection.verdict import Verdict
 from .builder import EntityGraph
-from .propagation import CompiledGraph, compile_graph
+from .propagation import CompiledGraph, PropagationResult, compile_graph
 from .entities import (
     BOOKING_REF,
     FINGERPRINT,
@@ -71,6 +64,9 @@ CAMPAIGN_DETECTOR = "campaign-graph"
 
 #: Subject-id namespace for campaign-level verdicts.
 CAMPAIGN_SUBJECT_PREFIX = "campaign:"
+
+#: Propagated scores: the sweep's result or any node -> score map.
+Scores = Union[PropagationResult, Mapping[EntityId, float]]
 
 #: Node kinds eligible for the campaign core (shared infrastructure).
 CORE_KINDS: Tuple[str, ...] = (
@@ -213,7 +209,7 @@ class CampaignVerdict:
 
 
 def _campaign_risk(
-    core: Sequence[EntityId], scores: Mapping[EntityId, float]
+    core: Sequence[int], nodes: Sequence[EntityId], vector: np.ndarray
 ) -> float:
     """Noisy-OR across the core's evidence channels.
 
@@ -223,10 +219,11 @@ def _campaign_risk(
     lit up scores far above any single channel.
     """
     per_kind: Dict[str, float] = {}
-    for node in core:
-        score = scores.get(node, 0.0)
-        if score > per_kind.get(node.kind, 0.0):
-            per_kind[node.kind] = score
+    for i in core:
+        kind = nodes[i].kind
+        score = float(vector[i])
+        if score > per_kind.get(kind, 0.0):
+            per_kind[kind] = score
     survival = 1.0
     for score in per_kind.values():
         survival *= 1.0 - min(max(score, 0.0), 1.0)
@@ -234,9 +231,9 @@ def _campaign_risk(
 
 
 def _corroborated(
-    neighbors_of: Callable[[EntityId], Iterable[EntityId]],
-    node: EntityId,
-    scores: Mapping[EntityId, float],
+    compiled: CompiledGraph,
+    i: int,
+    vector: np.ndarray,
     seeds: Mapping[EntityId, float],
     config: CampaignConfig,
 ) -> bool:
@@ -250,13 +247,15 @@ def _corroborated(
     the device's own session.
     """
     hot = 0
-    for neighbor in neighbors_of(node):
+    nodes = compiled.nodes
+    for j in compiled.neighbor_positions(i).tolist():
+        neighbor = nodes[j]
         if neighbor.kind in config.hub_kinds:
             continue
         evidence = (
             seeds.get(neighbor, 0.0)
             if neighbor.kind == SESSION
-            else scores.get(neighbor, 0.0)
+            else vector[j]
         )
         if evidence >= config.risk_threshold:
             hot += 1
@@ -265,9 +264,19 @@ def _corroborated(
     return False
 
 
+def _score_vector(scores: Scores, compiled: CompiledGraph) -> np.ndarray:
+    """``scores`` over ``compiled.nodes``: the sweep's own vector when
+    it was propagated on this compile."""
+    if isinstance(scores, PropagationResult):
+        if scores.nodes is compiled.nodes:
+            return scores.vector
+        scores = scores.scores
+    return np.array([scores.get(node, 0.0) for node in compiled.nodes])
+
+
 def extract_campaigns(
     graph: EntityGraph,
-    scores: Mapping[EntityId, float],
+    scores: Scores,
     config: Optional[CampaignConfig] = None,
     obs: Optional[object] = None,
     seeds: Optional[Mapping[EntityId, float]] = None,
@@ -293,42 +302,43 @@ def extract_campaigns(
     seeds = seeds or {}
     if compiled is None:
         compiled = compile_graph(graph, obs=obs)
-    neighbors_of = compiled.neighbors_of
+    nodes = compiled.nodes
+    vector = _score_vector(scores, compiled)
+    # One threshold mask picks the candidates; only those are checked
+    # node by node.  Positions ascend, i.e. follow sorted node id.
     core = [
-        node
-        for node in graph.nodes()
-        if node.kind in CORE_KINDS
-        and scores.get(node, 0.0) >= config.risk_threshold
+        i
+        for i in np.flatnonzero(vector >= config.risk_threshold).tolist()
+        if nodes[i].kind in CORE_KINDS
         and (
-            node.kind not in DEVICE_KINDS
-            or seeds.get(node, 0.0) > 0.0
-            or _corroborated(neighbors_of, node, scores, seeds, config)
+            nodes[i].kind not in DEVICE_KINDS
+            or seeds.get(nodes[i], 0.0) > 0.0
+            or _corroborated(compiled, i, vector, seeds, config)
         )
     ]
-    components = compiled.components(core)
 
     candidates: List[Tuple[Tuple[EntityId, ...], float, float, float]] = []
-    for component in components:
+    for component in compiled.position_components(core):
         attached = sorted(
             {
-                neighbor
-                for node in component
-                for neighbor in neighbors_of(node)
-                if neighbor.kind == SESSION
+                j
+                for i in component
+                for j in compiled.neighbor_positions(i).tolist()
+                if nodes[j].kind == SESSION
             }
         )
         if len(attached) < config.min_sessions:
             continue
         times = [
             time
-            for node in attached
-            for time in (graph.first_seen(node), graph.last_seen(node))
+            for j in attached
+            for time in (graph.first_seen(nodes[j]), graph.last_seen(nodes[j]))
             if time is not None
         ]
         first = min(times) if times else 0.0
         last = max(times) if times else 0.0
-        risk = _campaign_risk(component, scores)
-        members = tuple(sorted(set(component) | set(attached)))
+        risk = _campaign_risk(component, nodes, vector)
+        members = tuple(nodes[i] for i in sorted({*component, *attached}))
         candidates.append((members, risk, first, last))
 
     candidates.sort(

@@ -201,8 +201,8 @@ class GraphAnalysis:
     campaigns: List[Campaign]
     campaign_verdicts: List[CampaignVerdict]
     #: The merged seed map the sweep started from — kept so equivalence
-    #: harnesses can replay the exact analysis through the dict
-    #: reference path (``propagate_dict``).
+    #: harnesses can replay the exact analysis through the per-edge
+    #: executable specification in ``tests/specs.py``.
     seeds: Dict[EntityId, float] = field(default_factory=dict)
 
 
@@ -226,7 +226,7 @@ def analyze(
         compiled=compiled,
     )
     campaigns = extract_campaigns(
-        graph, result.scores, config=config.campaigns, obs=obs,
+        graph, result, config=config.campaigns, obs=obs,
         seeds=seeds, compiled=compiled,
     )
     return GraphAnalysis(

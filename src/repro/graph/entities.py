@@ -16,7 +16,7 @@ link *within* a rotation epoch.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 SESSION = "session"
 FINGERPRINT = "fp"
@@ -48,6 +48,16 @@ class EntityId(NamedTuple):
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return f"{self.kind}:{self.value}"
+
+
+def split_ids(nodes: Sequence[EntityId]) -> Tuple[List[str], List[str]]:
+    """Kinds and values as two ``str`` lists, which pickle without one
+    reduction per node (:func:`join_ids` inverts it)."""
+    return [node.kind for node in nodes], [node.value for node in nodes]
+
+
+def join_ids(kinds: Sequence[str], values: Sequence[str]) -> List[EntityId]:
+    return list(map(EntityId, kinds, values))
 
 
 def session_node(session_id: str) -> EntityId:

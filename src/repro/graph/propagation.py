@@ -40,31 +40,29 @@ Properties the test-suite pins:
   fixed point; the loop stops when the largest per-node delta drops
   below tolerance.
 
-The sweep itself runs on a :class:`CompiledGraph`: the graph's edge
-map is compiled into int-indexed CSR arrays (incoming edges grouped
-by destination, sources sorted within each group, both by one
-``np.lexsort``) and every Jacobi round becomes three NumPy
-operations — gather source mass, scale by the precomputed coupling,
-``np.bincount`` back onto destinations.  ``np.bincount`` accumulates
-its weights in array order, which is the sorted-neighbour order the
-CSR layout stores, so the vectorized sweep is bit-identical to the
-historical per-edge Python loop (kept as :func:`propagate_dict`, the
-reference the property tests compare against).  Each analysis
-compiles afresh: the graph keeps no compiled copy of itself, and
-campaign extraction reads the same arrays the sweep used.
+The sweep runs on a :class:`CompiledGraph`: int-indexed CSR arrays
+with incoming edges grouped by destination and sources sorted within
+each group, so every Jacobi round is three NumPy operations — gather
+source mass, scale by the precomputed coupling, ``np.bincount`` back
+onto destinations.  ``np.bincount`` accumulates in array order, the
+sorted-neighbour order, so the sweep is bit-identical to the per-edge
+Python loop kept as the executable specification in ``tests/``.
+Each analysis compiles anew; only the graph's sorted node order
+carries over between compiles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .builder import EntityGraph
-from .entities import EntityId
+from .entities import EntityId, join_ids, split_ids
 from .unionfind import UnionFind
 
 
@@ -91,13 +89,35 @@ class PropagationConfig:
             )
 
 
-@dataclass
 class PropagationResult:
-    """Fixed-point scores plus convergence diagnostics."""
+    """Fixed-point scores plus convergence diagnostics.
 
-    scores: Dict[EntityId, float]
-    rounds: int
-    converged: bool
+    A sweep's scores are its clamped ``vector`` over the compiled
+    graph's sorted ``nodes``, then ``scores`` as given (the clipped
+    seeds of off-graph nodes).  The node-keyed :attr:`scores` dict is
+    built on first read and left out of the pickled state.
+    """
+
+    def __init__(
+        self,
+        scores: Optional[Mapping[EntityId, float]] = None,
+        rounds: int = 0,
+        converged: bool = False,
+        nodes: Sequence[EntityId] = (),
+        vector: Optional[np.ndarray] = None,
+    ) -> None:
+        self.rounds, self.converged, self.nodes = rounds, converged, nodes
+        self.vector = np.zeros(0) if vector is None else vector
+        self._rest = dict(scores or {})
+        self._scores: Optional[Dict[EntityId, float]] = None
+
+    @property
+    def scores(self) -> Dict[EntityId, float]:
+        if self._scores is None:
+            self._scores = dict(chain(
+                zip(self.nodes, self.vector.tolist()), self._rest.items()
+            ))
+        return self._scores
 
     def score(self, node: EntityId) -> float:
         return self.scores.get(node, 0.0)
@@ -114,27 +134,31 @@ class PropagationResult:
             )
         ]
 
+    def __getstate__(self) -> Dict[str, object]:
+        return dict(self.__dict__, _scores=None, nodes=split_ids(self.nodes))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, nodes=join_ids(*state["nodes"]))
+
 
 @dataclass
 class CompiledGraph:
     """Int-indexed CSR form of an :class:`EntityGraph`.
 
-    Incoming edges are grouped by destination node (``indptr`` bounds
-    node ``i``'s group at ``src[indptr[i]:indptr[i+1]]``) with sources
-    *sorted by node id* inside each group — the same sorted-neighbour
-    iteration order the dict reference uses, which is what keeps float
+    Positions follow sorted node id (``nodes``); ``rank`` maps the
+    graph's int ids (its live ``ids`` map) to them.  Incoming edges are
+    grouped by destination (``indptr`` bounds node ``i``'s group at
+    ``src[indptr[i]:indptr[i+1]]``) with sources sorted inside each
+    group — the dict reference's summation order, which keeps float
     accumulation bit-identical across build orders.  ``degree`` is the
-    weighted degree summed in that order, and ``src_degree`` gathers
-    it per edge so the damped coupling is one elementwise expression
-    at propagate time.
-
-    Compilation depends only on graph *structure* (not on seeds or
-    config) and carries the graph's structural ``version`` stamp, so
-    :func:`propagate` can refuse a compile the graph has outgrown.
+    weighted degree summed in that order; ``src_degree`` gathers it per
+    edge.  The structural ``version`` stamp lets :func:`propagate`
+    refuse a compile the graph has outgrown.
     """
 
     nodes: List[EntityId]
-    index: Dict[EntityId, int]
+    ids: Mapping[EntityId, int]
+    rank: np.ndarray        # (n,) int64 — position of each graph id
     indptr: np.ndarray      # (n+1,) int64 — incoming-edge group bounds
     src: np.ndarray         # (e,) int64 — source node index per edge
     dst: np.ndarray         # (e,) int64 — destination node index per edge
@@ -152,13 +176,26 @@ class CompiledGraph:
         """Directed edge slots (2x the undirected edge count)."""
         return int(self.src.shape[0])
 
+    @cached_property
+    def index(self) -> Dict[EntityId, int]:
+        """Node -> position map, built on first use."""
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+    def position(self, node: EntityId) -> Optional[int]:
+        """The node's index in ``nodes`` (None if not compiled: ids
+        are never reused, and later nodes have ids past ``rank``)."""
+        i = self.ids.get(node, len(self.rank))
+        return int(self.rank[i]) if i < len(self.rank) else None
+
+    def neighbor_positions(self, i: int) -> np.ndarray:
+        """Indices of node ``i``'s neighbours, ascending."""
+        return self.src[self.indptr[i]:self.indptr[i + 1]]
+
     def neighbors_of(self, node: EntityId) -> List[EntityId]:
         """The node's neighbours, sorted by id (no dict copy)."""
-        i = self.index.get(node)
-        if i is None:
-            return []
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        return [self.nodes[j] for j in self.src[lo:hi]]
+        i = self.position(node)
+        found = [] if i is None else self.neighbor_positions(i).tolist()
+        return [self.nodes[j] for j in found]
 
     def components(
         self, nodes: Optional[Iterable[EntityId]] = None
@@ -168,7 +205,14 @@ class CompiledGraph:
         if nodes is None:
             members = list(range(self.node_count))
         else:
-            members = sorted({self.index[n] for n in nodes if n in self.index})
+            members = sorted(set(map(self.position, nodes)) - {None})
+        return [
+            [self.nodes[i] for i in group]
+            for group in self.position_components(members)
+        ]
+
+    def position_components(self, members: List[int]) -> List[List[int]]:
+        """:meth:`components` on ascending node indices, as indices."""
         position = np.full(self.node_count, -1, dtype=np.int64)
         position[members] = np.arange(len(members), dtype=np.int64)
         src, dst = position[self.src], position[self.dst]
@@ -177,39 +221,32 @@ class CompiledGraph:
         for a, b in zip(src[inside].tolist(), dst[inside].tolist()):
             union.union(a, b)
         # Members ascend by node id, groups by their first member.
-        return [
-            [self.nodes[members[k]] for k in group]
-            for group in union.groups()
-        ]
+        return [[members[k] for k in group] for group in union.groups()]
 
 
 def compile_graph(
     graph: EntityGraph, obs: Optional[object] = None
 ) -> CompiledGraph:
     """Compile ``graph`` into CSR arrays (seed-independent): nodes
-    ranked by sorted id, both directions of every edge ordered by one
-    ``np.lexsort`` on (destination, source)."""
+    ranked by sorted id, both directions of every edge ordered by
+    (destination, source)."""
     span = obs.timer("graph.compile").time() if obs is not None else None
     if span is not None:
         span.__enter__()
     try:
-        by_id = graph.nodes()
-        n = len(by_id)
-        order = sorted(range(n), key=by_id.__getitem__)
-        nodes = [by_id[i] for i in order]
-        index = {node: i for i, node in enumerate(nodes)}
+        nodes, order = graph.sorted_nodes()
+        n = len(nodes)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n, dtype=np.int64)
-        edge_map = graph.edge_map
-        m = len(edge_map)
-        ends = rank[
-            np.fromiter(chain.from_iterable(edge_map), np.int64, 2 * m)
-        ]
-        a, b = ends[0::2], ends[1::2]
-        half = np.fromiter(edge_map.values(), np.float64, m)
+        pairs, half = graph.edge_arrays()
+        ends = rank[pairs]
+        a, b = ends[:, 0], ends[:, 1]
         src = np.concatenate((a, b))
         dst = np.concatenate((b, a))
-        perm = np.lexsort((src, dst))
+        # Each (dst, src) pair occurs once, so the one key dst*n + src
+        # has a unique sorting permutation: np.lexsort((src, dst))'s,
+        # found several times faster.
+        perm = np.argsort(dst * n + src)
         src, dst = src[perm], dst[perm]
         weights = np.concatenate((half, half))[perm]
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -219,7 +256,8 @@ def compile_graph(
         degree = np.bincount(dst, weights=weights, minlength=n)
         compiled = CompiledGraph(
             nodes=nodes,
-            index=index,
+            ids=graph.ids,
+            rank=rank,
             indptr=indptr,
             src=src,
             dst=dst,
@@ -267,17 +305,16 @@ def propagate(
 
     n = compiled.node_count
     seed_vec = np.zeros(n, dtype=np.float64)
-    for node, value in seeds.items():
-        i = compiled.index.get(node)
-        if i is not None:
-            seed_vec[i] = min(max(float(value), 0.0), 1.0)
     # Seeded nodes absent from the graph are isolated by definition:
     # their read-out is exactly the clipped seed, no sweep needed.
-    extras = {
-        node: min(max(float(value), 0.0), 1.0)
-        for node, value in seeds.items()
-        if node not in compiled.index
-    }
+    extras: Dict[EntityId, float] = {}
+    for node, value in seeds.items():
+        value = min(max(float(value), 0.0), 1.0)
+        i = compiled.position(node)
+        if i is None:
+            extras[node] = value
+        else:
+            seed_vec[i] = value
 
     # Per-edge damped coupling, computed exactly as the dict reference
     # does per pair: (damping * weight) / degree[source].
@@ -304,11 +341,6 @@ def propagate(
         if delta < config.tolerance:
             converged = True
             break
-    scores = {
-        node: min(1.0, float(value))
-        for node, value in zip(compiled.nodes, mass)
-    }
-    scores.update(extras)
     if obs is not None:
         obs.set_gauge("graph.propagation.rounds", float(rounds))
         obs.set_gauge(
@@ -319,89 +351,9 @@ def propagate(
             float(compiled.edge_count * rounds),
         )
     return PropagationResult(
-        scores=scores, rounds=rounds, converged=converged
-    )
-
-
-def propagate_dict(
-    graph: EntityGraph,
-    seeds: Mapping[EntityId, float],
-    config: Optional[PropagationConfig] = None,
-    obs: Optional[object] = None,
-) -> PropagationResult:
-    """Reference per-edge Python implementation of :func:`propagate`.
-
-    Kept verbatim as the semantic specification the CSR kernel is
-    property-tested against (`tests/test_propagation_csr.py`): same
-    sorted-neighbour summation order, same monotone delta tracking,
-    same clamping.  Production callers use :func:`propagate`.
-    """
-    config = config or PropagationConfig()
-
-    nodes = sorted(set(graph.nodes()) | set(seeds))
-    seed_of = {
-        node: min(max(float(seeds.get(node, 0.0)), 0.0), 1.0)
-        for node in nodes
-    }
-    # Degrees and incoming sums run over *sorted* neighbours: float
-    # addition is not associative, so this is what makes two builds of
-    # the same record set — batch vs streaming, any interleaving —
-    # produce bit-identical scores.
-    adjacency: Dict[EntityId, List[Tuple[EntityId, float]]] = {
-        node: [] for node in nodes
-    }
-    for a, b, weight in graph.edges():
-        adjacency[a].append((b, weight))
-        adjacency[b].append((a, weight))
-    for pairs in adjacency.values():
-        pairs.sort()
-    degree = {
-        node: sum(weight for _, weight in pairs)
-        for node, pairs in adjacency.items()
-    }
-    # The *source* (neighbor) side normalizes: a node re-emits d times
-    # its mass, split across its edges by weight.
-    incoming: Dict[EntityId, List[Tuple[EntityId, float]]] = {
-        node: [
-            (neighbor, config.damping * weight / degree[neighbor])
-            for neighbor, weight in pairs
-        ]
-        for node, pairs in adjacency.items()
-    }
-
-    mass = dict(seed_of)
-    rounds = 0
-    converged = False
-    timer = obs.timer("graph.propagation.round") if obs is not None else None
-    for rounds in range(1, config.max_rounds + 1):
-        span = timer.time() if timer is not None else None
-        if span is not None:
-            span.__enter__()
-        delta = 0.0
-        updated: Dict[EntityId, float] = {}
-        for node in nodes:
-            absorbed = 0.0
-            for source, factor in incoming[node]:
-                absorbed += factor * mass[source]
-            value = seed_of[node] + absorbed
-            updated[node] = value
-            change = value - mass[node]
-            if change > delta:
-                delta = change
-        mass = updated
-        if span is not None:
-            span.__exit__(None, None, None)
-        if delta < config.tolerance:
-            converged = True
-            break
-    scores = {
-        node: min(1.0, value) for node, value in mass.items()
-    }
-    if obs is not None:
-        obs.set_gauge("graph.propagation.rounds", float(rounds))
-        obs.set_gauge(
-            "graph.propagation.converged", 1.0 if converged else 0.0
-        )
-    return PropagationResult(
-        scores=scores, rounds=rounds, converged=converged
+        scores=extras,
+        rounds=rounds,
+        converged=converged,
+        nodes=compiled.nodes,
+        vector=np.minimum(mass, 1.0),
     )

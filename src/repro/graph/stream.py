@@ -27,6 +27,7 @@ the same code on the same order-independent graph.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.detection.verdict import Verdict
@@ -44,7 +45,7 @@ from .detector import (
     seed_from_verdicts,
     session_prior,
 )
-from .entities import EntityId, session_node
+from .entities import EntityId, join_ids, session_node, split_ids
 from .propagation import compile_graph
 
 
@@ -113,14 +114,7 @@ class GraphStreamAdapter(StreamAdapter):
 
     def end_of_stream(self) -> Iterable[Verdict]:
         self._drain_feeds()
-        last = max(
-            (t for t in (
-                self.builder.graph.last_seen(node)
-                for node in self.builder.graph.nodes()
-            ) if t is not None),
-            default=0.0,
-        )
-        return self._refresh(last, final=True)
+        return self._refresh(self.builder.graph.latest_seen(), final=True)
 
     def evict_idle(self, now: float, idle_gap: float) -> None:
         self.builder.evict_idle_names(now, idle_gap)
@@ -184,6 +178,18 @@ class GraphStreamAdapter(StreamAdapter):
                     )
                 )
         return verdicts
+
+    # -- pickling ------------------------------------------------------------
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Seeds pickle as flat lists and an array, not node tuples."""
+        seeds = split_ids(list(self._seeds)), array("d", self._seeds.values())
+        return dict(self.__dict__, _seeds=seeds)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        (kinds, values), scores = state["_seeds"]
+        seeds = dict(zip(join_ids(kinds, values), scores))
+        self.__dict__.update(state, _seeds=seeds)
 
     # -- introspection -------------------------------------------------------
 

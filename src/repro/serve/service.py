@@ -7,9 +7,11 @@ seeded from the pipeline's own velocity/volume verdicts via
 ``seed_feeds``), applies ingested events journal-first through a
 :class:`~repro.serve.state.StateStore`, and checkpoints the pickled
 core every ``checkpoint_interval`` events.  The core holds live state
-only (closed sessions are counted, not kept; the graph is its edge
-map, and each refresh compiles CSR arrays it then drops), so a
-checkpoint's cost tracks the live state, not the service's age.
+only (closed sessions are counted, not kept; the graph is flat node
+and edge arrays plus a sorted node order, and each refresh compiles
+CSR arrays it then drops), so a checkpoint's cost tracks the live
+state, not the service's age.  The graph and the graph adapter's
+seed map pickle as flat lists and arrays, not one tuple per node.
 
 Everything in the core is deliberately plain picklable Python — the
 sink records verdicts instead of touching a live

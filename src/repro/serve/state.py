@@ -35,8 +35,9 @@ from .codec import ENTRY_FIELDS, entry_from_row, entry_to_row
 
 #: Bumped when the on-disk schema or the pickled core's layout changes
 #: (2: the pipeline stopped keeping closed sessions; 3: the entity
-#: graph stores each edge once in an id-pair map).
-SCHEMA_VERSION = 3
+#: graph stores each edge once in an id-pair map; 4: the entity graph
+#: and the graph adapter's seeds pickle as flat lists and arrays).
+SCHEMA_VERSION = 4
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (

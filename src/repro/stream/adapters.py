@@ -8,8 +8,9 @@ Two kinds of adapter ride the stream:
   batch entry point too, ``judge_index(index)`` over a
   :class:`~repro.core.detection.session_index.SessionIndex`, and
   end-of-stream verdicts are identical to it — the equivalence the
-  replay harness asserts.  ``sessionize`` and ``feature_matrix`` stay
-  as the executable spec both paths are tested against;
+  replay harness asserts.  ``sessionize`` and ``feature_matrix``
+  (``tests/specs.py``) are the executable spec both paths are tested
+  against;
 * **entity fast paths** (:class:`HoldVelocityAdapter`,
   :class:`SmsVelocityAdapter`) keep sliding per-client tallies and can
   convict *while the session is still open* — the only verdicts that

@@ -1,7 +1,7 @@
 """Incremental session reconstruction.
 
-:class:`StreamSessionizer` is the online mirror of
-:func:`repro.web.logs.sessionize`: feed it the same time-ordered entry
+:class:`StreamSessionizer` is the online mirror of the batch
+``sessionize`` spec (``tests/specs.py``): feed it the same time-ordered entry
 stream and the set of sessions it emits (closed incrementally plus the
 final :meth:`flush`) is *identical* — same grouping, same idle-gap
 splits, same session ids — while holding only the currently-open

@@ -9,7 +9,7 @@ pipeline with block rules, access policies and CAPTCHA gates
 """
 
 from .application import BlockRule, WebApplication
-from .logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog, sessionize
+from .logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
 from .logstore import ColumnarLogStore
 from .ratelimit import (
     RateLimitEngine,
@@ -52,7 +52,6 @@ __all__ = [
     "LogEntry",
     "Session",
     "WebLog",
-    "sessionize",
     "RateLimitEngine",
     "RateLimitRule",
     "SlidingWindowLimiter",

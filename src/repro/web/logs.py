@@ -2,15 +2,18 @@
 
 Behaviour-based bot detection (Section III-A) starts from web logs
 grouped into user sessions.  :class:`WebLog` records one
-:class:`LogEntry` per request; :func:`sessionize` groups entries by
-client identity (IP + fingerprint) split on idle gaps, reproducing the
-standard log-analysis pipeline the paper describes.
+:class:`LogEntry` per request; a :class:`Session` is a run of entries
+sharing client identity (IP + fingerprint) split on idle gaps, the
+standard log-analysis pipeline the paper describes.  Sessions are
+built by :class:`~repro.core.detection.session_index.SessionIndex`
+(batch) and :class:`~repro.stream.sessionizer.StreamSessionizer`
+(streaming).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..common import ClientRef
 
@@ -283,41 +286,3 @@ class Session:
     def is_attacker(self) -> bool:
         """Ground truth — scoring only."""
         return self.actor_class != "legit"
-
-
-def sessionize(
-    log: WebLog,
-    idle_gap: float = DEFAULT_IDLE_GAP,
-) -> List[Session]:
-    """Group log entries into sessions.
-
-    A session is a maximal run of requests sharing ``(ip, fingerprint)``
-    with no gap larger than ``idle_gap`` — the same reconstruction a
-    defender would run on production logs.  Note the defender-side
-    blind spot this encodes: a bot that rotates IP or fingerprint
-    *starts a new session*, which is exactly why rotation defeats
-    session-level profiling.
-    """
-    if idle_gap <= 0:
-        raise ValueError(f"idle_gap must be positive: {idle_gap}")
-    open_sessions: Dict[Tuple[str, str], Session] = {}
-    finished: List[Session] = []
-    counter = 0
-    for entry in log.iter_entries():
-        key = (entry.client.ip_address, entry.client.fingerprint_id)
-        session = open_sessions.get(key)
-        if session is not None and entry.time - session.end > idle_gap:
-            finished.append(session)
-            session = None
-        if session is None:
-            counter += 1
-            session = Session(
-                session_id=f"S{counter:07d}",
-                ip_address=entry.client.ip_address,
-                fingerprint_id=entry.client.fingerprint_id,
-            )
-            open_sessions[key] = session
-        session.entries.append(entry)
-    finished.extend(open_sessions.values())
-    finished.sort(key=lambda s: s.start)
-    return finished

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.common import ClientRef, LEGIT
-from repro.core.detection.features import (
-    FEATURE_NAMES,
-    extract_features,
-    feature_matrix,
-)
+from repro.core.detection.features import FEATURE_NAMES, extract_features
 from repro.core.detection.volume import VolumeDetector, VolumeThresholds
 from repro.web.logs import LogEntry, Session
 from repro.web.request import HOLD, PAY, SEARCH
+
+from tests.specs import feature_matrix
 
 
 def make_session(times_paths, session_id="S1", statuses=None):

@@ -10,9 +10,10 @@ from repro.core.detection.clustering import (
     ClusteringDetector,
     kmeans,
 )
-from repro.core.detection.features import feature_matrix
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
+
+from tests.specs import feature_matrix
 
 
 def make_session(session_id, request_count, spacing=10.0, actor=LEGIT):

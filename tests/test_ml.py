@@ -31,9 +31,11 @@ from repro.ml.train import calibrate_threshold
 from repro.runner.spec import canonical_json
 from repro.scenarios.learned import LearnedCaseConfig, run_learned_case
 from repro.stream import SessionDetectorAdapter, StreamPipeline
-from repro.web.logs import LogEntry, Session, sessionize
+from repro.web.logs import LogEntry, Session
 from repro.web.logs import WebLog
 from repro.web.request import FLIGHT_DETAILS, HOLD, SEARCH
+
+from tests.specs import sessionize
 
 
 def make_client(ip="1.1.1.1", fingerprint="fp", actor=LEGIT):

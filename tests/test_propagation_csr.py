@@ -25,8 +25,8 @@ from repro.graph.propagation import (
     PropagationResult,
     compile_graph,
     propagate,
-    propagate_dict,
 )
+from tests.specs import propagate_dict
 
 _KINDS = ("s", "fp", "ip", "ref")
 

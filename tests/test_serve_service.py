@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from repro.graph.propagation import CompiledGraph
+from repro.graph.entities import EntityId
+from repro.graph.propagation import CompiledGraph, compile_graph
 from repro.scenarios.streaming import build_stream_pipeline
 from repro.serve.codec import CodecError
 from repro.serve.service import (
@@ -237,6 +238,47 @@ class TestSnapshotContents:
         ).dump(service._core)
         assert pickled[Session] == sessionizer.open_sessions
         assert pickled[CompiledGraph] == 0
+
+    def test_graph_pickles_as_flat_arrays(self, tmp_path):
+        """The entity graph pickles node kinds and values as string
+        lists plus flat arrays — not one ``EntityId`` reduction per
+        node — and loads back to the same graph: same spans, and a
+        compile with byte-identical arrays."""
+        entries = campaign_entries()
+        service = make_service(tmp_path, refresh_every=1, evict_every=1)
+        service.ingest(ingest_payload(entries[: len(entries) // 2]))
+        graph = service.graph.builder.graph
+        assert graph.node_count > 0 and graph.edge_count > 0
+
+        pickled = Counter()
+
+        class CountingPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                pickled[type(obj)] += 1
+                return NotImplemented
+
+        CountingPickler(
+            io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL
+        ).dump(graph)
+        assert pickled[EntityId] == 0
+
+        restored = pickle.loads(
+            pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert restored.snapshot(include_spans=True) == graph.snapshot(
+            include_spans=True
+        )
+        mine, theirs = compile_graph(restored), compile_graph(graph)
+        assert mine.version == theirs.version
+        assert mine.nodes == theirs.nodes
+        assert mine.index == theirs.index
+        for name in (
+            "rank", "indptr", "src", "dst", "weights", "degree",
+            "src_degree",
+        ):
+            mine_array, theirs_array = getattr(mine, name), getattr(theirs, name)
+            assert mine_array.dtype == theirs_array.dtype, name
+            assert mine_array.tobytes() == theirs_array.tobytes(), name
 
 
 class TestGoldenDigest:

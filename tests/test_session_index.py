@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 from repro.common import ClientRef
 from repro.core.detection.classifier import LogisticSessionClassifier
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import FEATURE_NAMES, feature_matrix
+from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.ml.data import build_dataset, build_dataset_columnar
 from repro.obs.core import ObsRegistry
-from repro.web.logs import COLUMNAR, LIST, WebLog, sessionize
+from repro.web.logs import COLUMNAR, LIST, WebLog
+
+from tests.specs import feature_matrix, sessionize
 
 PATHS = [
     "/search", "/flight", "/hold", "/pay", "/login/otp",

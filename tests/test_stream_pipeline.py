@@ -24,8 +24,10 @@ from repro.stream import (
     batch_session_verdicts,
     entity_subject,
 )
-from repro.web.logs import LogEntry, sessionize
+from repro.web.logs import LogEntry
 from repro.web.request import HOLD
+
+from tests.specs import sessionize
 
 
 def make_entry(time, ip="1.1.1.1", fingerprint="fp1", path="/search"):

@@ -17,8 +17,10 @@ import pytest
 
 from repro.common import ClientRef
 from repro.sim.clock import DAY
-from repro.web.logs import COLUMNAR, LIST, LogEntry, WebLog, sessionize
+from repro.web.logs import COLUMNAR, LIST, LogEntry, WebLog
 from repro.web.logstore import ColumnarLogStore
+
+from tests.specs import sessionize
 
 
 def client(tag: str = "a") -> ClientRef:
